@@ -17,6 +17,7 @@ the zero series is ``math.inf``.
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -190,10 +191,6 @@ class NovikovSeries:
             return self.scale(other)
         tol = self._check(other)
         trunc = _product_trunc(self, other)
-        if self.mode == FLOAT and len(self.terms) * len(other.terms) > 256:
-            dense = _dense_mul(self, other, trunc, tol)
-            if dense is not None:
-                return dense
         out: dict = {}
         for ea, ca in self.terms:
             for eb, cb in other.terms:
@@ -232,10 +229,14 @@ class NovikovSeries:
     def inverse(self, trunc=None):
         """Multiplicative inverse as a Laurent-type series.
 
-        Works for any nonzero series: factor out the lowest term and sum
-        the geometric series of the remaining part.  If that remaining
-        part is nonzero and no finite truncation is available (neither on
-        the series nor via ``trunc``), a finite order is required.
+        Works for any nonzero series: factor out the lowest term
+        ``c T^v``, leaving a unit ``1 + u`` with ``u`` in the maximal
+        ideal, and invert that unit by the recurrence
+        ``e_x = -sum_s u_s e_{x-s}`` over the exponent support (see
+        :func:`_support_recurrence`; cost (output terms) x (terms of
+        ``u``)).  If ``u`` is nonzero and no finite truncation is
+        available (neither on the series nor via ``trunc``), a finite
+        order is required.
         """
         if self.is_zero:
             raise DivisionByZero("cannot invert the zero series")
@@ -254,27 +255,20 @@ class NovikovSeries:
             return lead.truncate(result_trunc)
         if result_trunc is INF:
             raise ValueError("inverse of a non-monomial needs a finite truncation")
-        # geometric series in u, truncated relative to the leading order
-        unit_trunc = result_trunc + v
-        u = u.truncate(unit_trunc)
-        acc = NovikovSeries.one(mode=self.mode, trunc=unit_trunc, tol=self.tol)
-        power = acc
-        vu = u.valuation()
-        k = 1
-        while k * vu < unit_trunc:
-            power = power * (-u)
-            if power.is_zero:
-                break
-            acc = acc + power
-            k += 1
-        return (acc * lead).truncate(result_trunc)
+        # 1/(1+u), truncated relative to the leading order
+        unit = _support_recurrence(u.truncate(result_trunc + v), exp=False)
+        return (unit * lead).truncate(result_trunc)
 
     def exp(self, unit_exp=None):
         """Exponential of an element of the valuation ring.
 
         The constant part contributes a scalar factor: ``cmath.exp`` in
         float mode, or the caller-supplied ``unit_exp`` in exact mode
-        (raising :class:`NeedsTranscendental` when absent).
+        (raising :class:`NeedsTranscendental` when absent).  The rest
+        ``p`` has positive valuation, and ``e = exp(p)`` follows from
+        ``e' = p'e``, i.e. ``x e_x = sum_s s p_s e_{x-s}`` over the
+        exponent support (see :func:`_support_recurrence`; cost (output
+        terms) x (terms of ``p``)).
         """
         if self.valuation() < 0:
             raise ValueError("exp requires valuation >= 0")
@@ -295,19 +289,7 @@ class NovikovSeries:
         else:
             if plus.trunc is INF:
                 raise ValueError("exp of a non-constant series needs a finite truncation")
-            acc = NovikovSeries.one(mode=self.mode, trunc=plus.trunc, tol=self.tol)
-            power = acc
-            v = plus.valuation()
-            k = 1
-            inv_fact = Fraction(1) if self.mode == EXACT else 1.0
-            while k * v < plus.trunc:
-                power = power * plus
-                inv_fact = inv_fact / k
-                if power.is_zero or inv_fact == 0:
-                    break
-                acc = acc + power.scale(inv_fact)
-                k += 1
-            result = acc
+            result = _support_recurrence(plus, exp=True)
         if factor is not None:
             result = result.scale(factor)
         return result
@@ -389,42 +371,51 @@ class NovikovSeries:
         return cls(terms, trunc=trunc, mode=mode or EXACT, tol=tol)
 
 
-def _dense_mul(a: NovikovSeries, b: NovikovSeries, trunc, tol):
-    """Grid-based product of two large float-mode series via convolution.
+def _support_recurrence(u: NovikovSeries, exp: bool) -> NovikovSeries:
+    """``exp(u)`` (``exp=True``) or ``1/(1+u)`` modulo ``T^u.trunc``.
 
-    Works when all exponents live on a common rational grid of moderate
-    resolution; returns None to fall back to the generic path otherwise.
+    ``u`` has positive valuation and a finite truncation.  With ``q`` the
+    lcm of the denominators of ``u.trunc`` and of the exponents of ``u``,
+    exponent ``e`` becomes the int index ``x = q*e`` below
+    ``cap = q*u.trunc``.  The indices of the result lie in the monoid
+    generated by supp(u); a heap visits them in increasing order, and
+
+        exp:      x e_x = sum_s s u_s e_{x-s}    (from e' = u'e)
+        inverse:    e_x = -sum_s u_s e_{x-s}     (from (1+u) e = 1)
+
+    so every ``e_{x-s}`` is known when ``e_x`` is formed.  The cost is
+    (output terms) x (terms of ``u``) on int keys, independent of
+    ``cap``.  Exact mode yields the same rationals as summing powers;
+    float mode prunes below ``tol`` once, at the end.
     """
-    import math as _math
-
-    import numpy as _np
-
-    dens = [e.denominator for e, _ in a.terms] + \
-        [e.denominator for e, _ in b.terms]
-    L = _math.lcm(*dens)
-    if L > 100000:
-        return None
-    amin = a.terms[0][0]
-    bmin = b.terms[0][0]
-    na = int((a.terms[-1][0] - amin) * L) + 1
-    nb = int((b.terms[-1][0] - bmin) * L) + 1
-    if na * nb > 64_000_000 or na + nb > 4_000_000:
-        return None
-    va = _np.zeros(na, dtype=complex)
-    vb = _np.zeros(nb, dtype=complex)
-    for e, c in a.terms:
-        va[int((e - amin) * L)] = c
-    for e, c in b.terms:
-        vb[int((e - bmin) * L)] = c
-    conv = _np.convolve(va, vb)
-    base = amin + bmin
-    keep = _np.nonzero(_np.abs(conv) >= tol)[0]
-    terms = []
-    for k in keep:
-        e = base + Fraction(int(k), L)
-        if e < trunc:
-            terms.append((e, complex(conv[k])))
-    return NovikovSeries(terms, trunc=trunc, mode=FLOAT, tol=tol)
+    q = math.lcm(u.trunc.denominator, *(e.denominator for e, _ in u.terms))
+    cap = int(u.trunc * q)
+    gens = []
+    for e, c in u.terms:
+        s = int(e * q)
+        gens.append((s, s * c if exp else -c))
+    coeffs = {0: Fraction(1) if u.mode == EXACT else 1 + 0j}
+    heap = [s for s, _ in gens if s < cap]
+    seen = set(heap)
+    while heap:
+        x = heapq.heappop(heap)
+        acc = 0
+        for s, w in gens:
+            if s > x:
+                break
+            prev = coeffs.get(x - s)
+            if prev is not None:
+                acc += w * prev
+        coeffs[x] = acc / x if exp else acc
+        for s, _ in gens:
+            y = x + s
+            if y >= cap:
+                break
+            if y not in seen:
+                seen.add(y)
+                heapq.heappush(heap, y)
+    return NovikovSeries([(Fraction(x, q), c) for x, c in coeffs.items()],
+                         trunc=u.trunc, mode=u.mode, tol=u.tol)
 
 
 def _product_trunc(a: NovikovSeries, b: NovikovSeries):

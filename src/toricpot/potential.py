@@ -172,12 +172,6 @@ class BulkEntry:
     plus: NovikovSeries
     unit: object = 1
 
-    def exp_factor(self) -> NovikovSeries:
-        factor = self.plus.exp()
-        if self.unit != 1:
-            factor = factor.scale(self.unit)
-        return factor
-
 
 class BulkDeformation:
     """Per-facet divisor weights for the degree-two deformation."""

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -200,6 +201,23 @@ _fractions = st.fractions(min_value=-5, max_value=9, max_denominator=6)
 _coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 _series = st.lists(st.tuples(_fractions, _coeffs), min_size=0,
                    max_size=6).map(lambda ts: NovikovSeries(ts))
+_truncs = st.fractions(min_value=Fraction(1, 6), max_value=4,
+                       max_denominator=6)
+# the positive-valuation part of a random series, known mod T^trunc
+_small = st.tuples(st.lists(st.tuples(_fractions, _coeffs), max_size=6),
+                   _truncs).map(lambda a: NovikovSeries(
+                       [(e, c) for e, c in a[0] if e > 0], trunc=a[1]))
+
+
+def exp_by_powers(p):
+    """Slow reference: sum of p^k / k! until the powers vanish mod trunc."""
+    acc = power = NovikovSeries.one(trunc=p.trunc)
+    k = 0
+    while not power.is_zero:
+        k += 1
+        power = (power * p).truncate(p.trunc).scale(Fraction(1, k))
+        acc = acc + power
+    return acc
 
 
 class TestProperties:
@@ -226,6 +244,44 @@ class TestProperties:
         if va != vb:
             assert s.valuation() == min(va, vb)
 
+    @settings(max_examples=100, deadline=None)
+    @given(_small)
+    def test_exp_matches_power_sum(self, p):
+        assert p.exp() == exp_by_powers(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_small)
+    def test_exp_of_negative_is_inverse(self, p):
+        assert p.exp() * (-p).exp() == NovikovSeries.one(trunc=p.trunc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_small)
+    def test_unit_inverse_round_trip(self, u):
+        a = 1 + u
+        assert a.inverse() * a == NovikovSeries.one(trunc=u.trunc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_small)
+    def test_float_exp_matches_exact(self, p):
+        exact = p.exp().to_float()
+        scale = max(abs(c) for _, c in exact.terms)
+        assert p.to_float().exp().approx_eq(exact, tol=1e-9 * scale)
+
+
+class TestSupportRecurrenceCost:
+    def test_sparse_support_on_fine_grid(self):
+        # q = 1000, so a dense grid below the truncation has 3000 slots;
+        # the monoid generated by the support has 9 elements below it
+        p = S((Fraction(999, 1000), 1), (1, 1), trunc=3)
+        t = time.perf_counter()
+        e, fe, inv = p.exp(), p.to_float().exp(), (1 + p).inverse()
+        assert time.perf_counter() - t < 0.2
+        assert len(e.terms) == len(fe.terms) == len(inv.terms) == 9
+        assert e.coefficient(2) == Fraction(1, 2)
+        assert e.coefficient(Fraction(2997, 1000)) == Fraction(1, 6)
+        assert inv.coefficient(Fraction(1999, 1000)) == 2
+        assert fe.approx_eq(e.to_float(), tol=1e-12)
+
 
 class TestDenseMul:
     def test_matches_naive_product(self):
@@ -233,7 +289,7 @@ class TestDenseMul:
         for _ in range(30):
             a = rand_series(rng, mode=FLOAT, nterms=20, maxden=4, lo=0, hi=4)
             b = rand_series(rng, mode=FLOAT, nterms=20, maxden=4, lo=0, hi=4)
-            fast = a * b  # large products take the convolution path
+            fast = a * b  # 20 x 20 terms through the sparse product
             slow = NovikovSeries.zero(mode=FLOAT)
             for e, c in a.terms:
                 slow = slow + b.scale(c) * NovikovSeries.monomial(

@@ -9,16 +9,17 @@ displacement energy from below after the 2*pi unit conversion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
 from .errors import NoFullFlag
-from .leading import leading_equations, level_structure
+from .leading import (_assemble_system, flag_basis, level_partition,
+                      level_structure)
 from .lifting import lift_bulk
 from .novikov import INF
 from .polytope import MomentPolytope
-from .solver import solve, solve_partial
+from .solver import solve
 
 BULK_BALANCED = "BulkBalanced"
 PARTIAL_UP_TO = "PartialUpTo"
@@ -73,15 +74,16 @@ def classify_fiber(P: MomentPolytope, u, coefficients=None,
     """
     u = tuple(Fraction(x) for x in u)
     ls = level_structure(P, u)
+    fb = flag_basis(ls)
     bound = 2 ** P.n
     if ls.K is None:
         report = FiberReport(u, NO_FULL_FLAG, intersection_bound=bound)
-        _fill_partial(report, P, u, len(ls.levels), ls, coefficients, tol)
+        _fill_partial(report, ls, fb, len(ls.levels), coefficients, tol)
         report.status = NO_FULL_FLAG
         return report
 
-    system = leading_equations(P, u, coefficients=coefficients)
-    result = solve(system, tol=tol)
+    result = solve(_assemble_system(ls, fb, coefficients=coefficients),
+                   tol=tol)
     if result.solutions:
         report = FiberReport(u, BULK_BALANCED, threshold_bound=INF,
                              intersection_bound=bound,
@@ -104,17 +106,16 @@ def classify_fiber(P: MomentPolytope, u, coefficients=None,
 
     report = FiberReport(u, NO_SOLUTION_FOUND, certified=result.certified,
                          intersection_bound=bound)
-    _fill_partial(report, P, u, ls.K, ls, coefficients, tol)
+    _fill_partial(report, ls, fb, ls.K, coefficients, tol)
     return report
 
 
-def _fill_partial(report: FiberReport, P, u, top_level, ls, coefficients,
-                  tol):
+def _fill_partial(report: FiberReport, ls, fb, top_level, coefficients, tol):
     """Largest solvable prefix of levels and the resulting threshold."""
     l0 = 0
     witnesses = []
     for l in range(top_level - 1, 0, -1):
-        partial = solve_partial(P, u, l, coefficients=coefficients, tol=tol)
+        partial = solve(_assemble_system(ls, fb, l, coefficients), tol=tol)
         if partial.solutions:
             l0 = l
             witnesses = partial.solutions
@@ -123,10 +124,7 @@ def _fill_partial(report: FiberReport, P, u, top_level, ls, coefficients,
     if witnesses:
         report.status = PARTIAL_UP_TO
         report.witnesses = witnesses
-    if l0 + 1 <= len(ls.levels):
-        report.threshold_bound = ls.level(l0 + 1).S
-    else:
-        report.threshold_bound = INF
+    report.threshold_bound = ls.level(l0 + 1).S  # l0 < top_level
 
 
 def scan(P: MomentPolytope, step, row: Optional[dict] = None,
@@ -135,6 +133,11 @@ def scan(P: MomentPolytope, step, row: Optional[dict] = None,
 
     ``row`` pins coordinates to fixed values, e.g. ``{2: Fraction(3,10)}``
     scans only the points whose second coordinate is 3/10.
+
+    The leading systems at ``u`` depend only on the ordered level
+    partition of the facets (``level_partition``), so only the first
+    fiber of each partition is classified; later fibers copy its report
+    and take their own threshold S_{l0+1}(u).
     """
     step = Fraction(step)
     if step <= 0:
@@ -163,10 +166,22 @@ def scan(P: MomentPolytope, step, row: Optional[dict] = None,
     for i in range(P.n):
         vals = axis_values(i)
         grid = [g + (v,) for g in grid for v in vals]
+    kinds = {}  # ordered level partition -> report of its first fiber
     for point in grid:
-        if P.is_interior(point):
-            reports.append(classify_fiber(P, point, coefficients=coefficients,
-                                          tol=tol))
+        ell = P.ell_values(point)
+        if any(v <= 0 for v in ell):
+            continue
+        key = level_partition(ell)
+        kind = kinds.get(key)
+        if kind is None:
+            kind = kinds[key] = classify_fiber(
+                P, point, coefficients=coefficients, tol=tol)
+            reports.append(kind)
+        else:
+            l0 = kind.partial_level  # key[l0] holds the facets of S_{l0+1}
+            reports.append(replace(
+                kind, u=point, witnesses=list(kind.witnesses),
+                threshold_bound=INF if kind.balanced else ell[key[l0][0]]))
     return reports
 
 

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from .classify import balanced_locus, classify_fiber, report_bounds, scan
 from .errors import ToricPotError
-from .leading import leading_equations, level_structure, flag_basis
+from .leading import (_assemble_system, flag_basis, leading_equations,
+                      level_structure)
 from .lifting import case_analysis_two_point, lift_bulk, lift_point
 from .novikov import EXACT, FLOAT, INF, NovikovSeries, parse_series
 from .polytope import EXAMPLE_NAMES, MomentPolytope, build_example
@@ -216,7 +217,7 @@ def _cmd_leading(args):
     coeffs = _parse_coeffs(args.coeffs)
     ls = level_structure(P, u)
     fb = flag_basis(ls)
-    system = leading_equations(P, u, cutoff=args.cutoff, coefficients=coeffs)
+    system = _assemble_system(ls, fb, args.cutoff, coeffs)
     names = [f"y[{l},{s}]" for l, s in fb.labels]
     payload = {
         "levels": [{"S": str(lev.S),

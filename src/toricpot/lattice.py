@@ -97,11 +97,6 @@ def invert(matrix):
     return [row[n:] for row in m]
 
 
-def matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
-            for row in a]
-
-
 def _identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 

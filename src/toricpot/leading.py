@@ -42,15 +42,21 @@ class LevelStructure:
         return self.K is not None
 
 
+def level_partition(ell) -> tuple:
+    """Facet indices grouped by equal value of ``ell``, ascending value."""
+    by_value: dict = {}
+    for i, e in enumerate(ell):
+        by_value.setdefault(e, []).append(i)
+    return tuple(tuple(by_value[S]) for S in sorted(by_value))
+
+
 def level_structure(P: MomentPolytope, u) -> LevelStructure:
     u = tuple(Fraction(x) for x in u)
     ell = P.ell_values(u)
     if any(v <= 0 for v in ell):
         raise NotInterior(f"{u} is not an interior point")
-    by_value: dict = {}
-    for i, (e, f) in enumerate(zip(ell, P.facets)):
-        by_value.setdefault(e, []).append((i, f.v))
-    levels = [Level(S, members) for S, members in sorted(by_value.items())]
+    levels = [Level(ell[part[0]], [(i, P.facets[i].v) for i in part])
+              for part in level_partition(ell)]
     d = []
     K = None
     span_rows = []
@@ -74,7 +80,6 @@ class FlagBasis:
     structure: LevelStructure
     labels: list   # of (l, s) in construction order
     rows: list     # basis vectors e*_{l,s}, same order
-    lattice_index: int  # index of the Z-span of the rows in Z^n (1 when full)
 
     def variable_names(self):
         return [f"y[{l},{s}]" for l, s in self.labels]
@@ -125,9 +130,7 @@ def flag_basis(ls: LevelStructure) -> FlagBasis:
             # full flags over a smooth polytope always close up to Z^n
             raise BasisConstructionFailed(
                 f"basis determinant {index}, expected a unimodular basis")
-    else:
-        index = 0
-    return FlagBasis(ls, labels, rows, index if index else 1)
+    return FlagBasis(ls, labels, rows)
 
 
 @dataclass
@@ -157,18 +160,6 @@ class LeadingSystem:
         return [lab for lab in self.basis.labels if lab[0] <= self.cutoff]
 
 
-def change_coords(F, fb: FlagBasis):
-    """Rewrite a potential's monomials in the flag variables.
-
-    Returns a list of (coeff, exponent tuple) pairs over the flag
-    variable order.
-    """
-    out = []
-    for coeff, expvec in F.terms:
-        out.append((coeff, tuple(fb.monomial_coordinates(expvec))))
-    return out
-
-
 def leading_equations(P: MomentPolytope, u, cutoff: Optional[int] = None,
                       coefficients: Optional[dict] = None) -> LeadingSystem:
     """Assemble the (generalized) leading term equations up to a level.
@@ -179,7 +170,12 @@ def leading_equations(P: MomentPolytope, u, cutoff: Optional[int] = None,
     level-``l`` sum in that variable.
     """
     ls = level_structure(P, u)
-    fb = flag_basis(ls)
+    return _assemble_system(ls, flag_basis(ls), cutoff, coefficients)
+
+
+def _assemble_system(ls: LevelStructure, fb: FlagBasis, cutoff=None,
+                     coefficients=None) -> LeadingSystem:
+    """The leading system of levels up to ``cutoff`` from a built flag."""
     max_level = ls.K if ls.K is not None else len(ls.levels)
     l0 = max_level if cutoff is None else min(cutoff, max_level)
     nvars = len(fb.labels)

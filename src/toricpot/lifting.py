@@ -138,7 +138,7 @@ def lift_bulk(P: MomentPolytope, u, sol, N, gens=(), max_steps=500,
     if ls.K is None:
         raise NoFullFlag("level flag never spans the whole space")
     if isinstance(sol, LeadingSolution):
-        y = solution_to_torus(P, u, sol)
+        y = _flag_point_to_torus(flag_basis(ls), sol.values)
     else:
         y = [complex(c) for c in sol]
     yseries = [NovikovSeries.const(c, mode=FLOAT) for c in y]

@@ -1,12 +1,13 @@
 """Bulk-balancedness classification, thresholds, and polytope scans."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
-from toricpot import (INF, balanced_locus, build_example, classify_fiber,
-                      report_bounds, scan)
+from toricpot import (INF, balanced_locus, build_example, classify,
+                      classify_fiber, leading, report_bounds, scan)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,71 @@ class TestScan:
             scan(twoblow, Fraction(0))
         with pytest.raises(ValueError):
             scan(twoblow, Fraction(1, 10), row={5: Fraction(1, 2)})
+
+
+def _interior_grid(P, step, row=None):
+    """Interior points of the step grid, in scan order, built directly."""
+    verts = [vx.point for vx in P.vertices()]
+    axes = []
+    for i in range(P.n):
+        lo = min(p[i] for p in verts)
+        hi = max(p[i] for p in verts)
+        axes.append(range(math.floor(lo / step) + 1, math.ceil(hi / step)))
+    points = (tuple(k * step for k in ks) for ks in itertools.product(*axes))
+    return [u for u in points if P.is_interior(u)
+            and all(u[i - 1] == v for i, v in (row or {}).items())]
+
+
+class TestScanByPartition:
+    """``scan`` classifies one fiber per ordered level partition."""
+
+    CASES = [
+        (("two_point_blowup", Fraction(2, 5), Fraction(3, 10)),
+         Fraction(1, 20), None, None),
+        (("k_point_blowup", Fraction(2, 5), Fraction(1, 50)),
+         Fraction(1, 20), None, None),
+        (("two_point_blowup", Fraction(2, 5), Fraction(3, 10)),
+         Fraction(1, 20), None, {3: Fraction(2)}),
+        (("cpn", 3), Fraction(1, 8), None, None),
+        # u1 = 29/80, 3/8, 31/80 share one PartialUpTo partition whose
+        # threshold is each fiber's own S_2, not S_1
+        (("two_point_blowup", Fraction(2, 5), Fraction(3, 10)),
+         Fraction(1, 80), {2: Fraction(3, 10)}, None),
+    ]
+
+    @pytest.mark.parametrize("example, step, row, coefficients", CASES,
+                             ids=["two-point", "k-point", "two-point-coeffs",
+                                  "cp3", "two-point-row"])
+    def test_matches_classify_fiber(self, example, step, row, coefficients):
+        P = build_example(*example)
+        reports = scan(P, step, row=row, coefficients=coefficients)
+        points = _interior_grid(P, step, row)
+        assert [r.u for r in reports] == points
+        assert len({id(r.witnesses) for r in reports}) == len(reports)
+        assert [r.to_dict() for r in reports] == [
+            classify_fiber(P, u, coefficients=coefficients).to_dict()
+            for u in points]
+
+    def test_flag_basis_once_per_partition(self, twoblow, monkeypatch):
+        calls = []
+        original = leading.flag_basis
+
+        def counting(ls):
+            calls.append(ls.u)
+            return original(ls)
+
+        for module in (leading, classify):
+            monkeypatch.setattr(module, "flag_basis", counting, raising=False)
+        row = {2: Fraction(3, 10)}
+        reports = scan(twoblow, Fraction(1, 80), row=row)
+        partitions = set()
+        for r in reports:
+            ell = twoblow.ell_values(r.u)
+            partitions.add(tuple(
+                tuple(i for i, e in enumerate(ell) if e == S)
+                for S in sorted(set(ell))))
+        assert len(reports) > len(partitions)
+        assert len(calls) == len(partitions)
 
 
 class TestBounds:

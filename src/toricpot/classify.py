@@ -16,7 +16,7 @@ from typing import Optional
 from .errors import NoFullFlag
 from .leading import (_assemble_system, flag_basis, level_partition,
                       level_structure)
-from .lifting import lift_bulk
+from .lifting import _lift_bulk
 from .novikov import INF
 from .polytope import MomentPolytope
 from .solver import solve
@@ -91,7 +91,8 @@ def classify_fiber(P: MomentPolytope, u, coefficients=None,
                              certified=result.certified)
         if lift_order is not None and coefficients is None:
             witness = result.solutions[0]
-            bulk, y, cert = lift_bulk(P, u, witness, lift_order, tol=tol)
+            bulk, y, cert = _lift_bulk(P, u, ls, fb, witness, lift_order,
+                                       tol=tol)
             report.lift = {
                 "order": str(cert.order),
                 "residual_valuation": (

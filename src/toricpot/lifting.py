@@ -63,20 +63,6 @@ class DiscreteMonoid:
     generators: set = field(default_factory=set)
     grown: list = field(default_factory=list)  # generators added on demand
 
-    def contains(self, x, bound) -> bool:
-        if not self.generators:
-            return False
-        return Fraction(x) in monoid_enumerate(self.generators, bound)
-
-    def admit(self, x):
-        """Record ``x``, growing the generator set when needed."""
-        x = Fraction(x)
-        if x <= 0:
-            return
-        if not self.contains(x, x):
-            self.generators.add(x)
-            self.grown.append(x)
-
 
 @dataclass
 class LiftCertificate:
@@ -132,13 +118,22 @@ def lift_bulk(P: MomentPolytope, u, sol, N, gens=(), max_steps=500,
     Returns ``(bulk, y, certificate)`` where ``y`` is the complex torus
     point used.
     """
-    N = as_exponent(N)
     u = tuple(Fraction(x) for x in u)
     ls = level_structure(P, u)
     if ls.K is None:
         raise NoFullFlag("level flag never spans the whole space")
+    fb = flag_basis(ls) if isinstance(sol, LeadingSolution) else None
+    return _lift_bulk(P, u, ls, fb, sol, N, gens, max_steps, tol)
+
+
+def _lift_bulk(P: MomentPolytope, u, ls, fb, sol, N, gens=(), max_steps=500,
+               tol=LIFT_TOL):
+    """``lift_bulk`` from the fiber's full level structure ``ls`` and its
+    flag basis ``fb``, which is read only when ``sol`` is a
+    ``LeadingSolution``."""
+    N = as_exponent(N)
     if isinstance(sol, LeadingSolution):
-        y = _flag_point_to_torus(flag_basis(ls), sol.values)
+        y = _flag_point_to_torus(fb, sol.values)
     else:
         y = [complex(c) for c in sol]
     yseries = [NovikovSeries.const(c, mode=FLOAT) for c in y]

@@ -209,13 +209,6 @@ class BulkDeformation:
             factor = factor.scale(entry.unit)
         return factor
 
-    def updated(self, i: int, delta: NovikovSeries) -> "BulkDeformation":
-        """New deformation with ``delta`` added to facet ``i``'s small part."""
-        entry = self.entry(i)
-        new_entries = dict(self.entries)
-        new_entries[i] = BulkEntry(entry.plus + delta, entry.unit)
-        return BulkDeformation(new_entries, mode=self.mode, tol=self.tol)
-
     def items(self):
         return self.entries.items()
 

@@ -6,8 +6,10 @@ The strategy ladder, in order of preference:
     under the partial assignment, solve it by companion-matrix roots with
     multiplicity from root clustering;
 (b) two-variable elimination by a numerically interpolated resultant;
-(c) deterministic multistart Newton (heuristic; results are certified
-    only through their residuals, completeness is not).
+(c) deterministic multistart Gauss-Newton (heuristic; results are
+    certified only through their residuals, completeness is not).  All
+    seeded starts advance together as one batch, and each takes the
+    least-norm least-squares step that ``np.linalg.lstsq`` would take.
 
 All variables range over nonzero complex numbers: zero roots are
 discarded, and monomial factors are divided out during normalization.
@@ -135,10 +137,17 @@ def _univariate_coeffs(terms: dict, j: int):
     return coeffs
 
 
+def _root_key(point):
+    """Sort key of a point: each part of each coordinate rounded to 8
+    decimals, so that roundoff (between conjugates, say) cannot decide
+    the order."""
+    return tuple((round(z.real, 8), round(z.imag, 8)) for z in point)
+
+
 def cluster_roots(roots, tol=DEDUP_TOL):
     """Group numerically coincident roots; returns (center, multiplicity)."""
     clusters = []
-    for r in sorted(roots, key=lambda z: (round(z.real, 8), round(z.imag, 8))):
+    for r in sorted(roots, key=lambda z: _root_key((z,))):
         for idx, (center, mult) in enumerate(clusters):
             if abs(r - center) < tol:
                 clusters[idx] = ((center * mult + r) / (mult + 1), mult + 1)
@@ -296,58 +305,64 @@ def _resultant_roots(f: dict, g: dict, x: int, y: int):
 
 
 def _newton_multistart(equations, active_vars, tol, max_starts=200):
-    """Deterministic seeded Gauss-Newton over the remaining variables."""
+    """Deterministic seeded Gauss-Newton over the remaining variables.
+
+    Every start advances in the same iteration.  The equations are
+    compiled once into an exponent matrix over ``active_vars`` and a
+    coefficient vector, so each iteration evaluates the residuals and
+    Jacobians of all live starts in a few array operations.  The step is
+    the least-norm least-squares step of ``np.linalg.lstsq`` with its
+    default cutoff, taken from one batched SVD, so non-square and
+    rank-deficient Jacobians need no separate path.  A start converges at
+    the first iterate whose residuals all lie below ``tol * 1e-3``.  It is
+    dropped when its values, Jacobian or step are not finite, when a
+    coordinate falls below 1e-12, or after 60 iterations.
+    """
     k = len(active_vars)
     radii = [0.5, 1.0, 2.0]
     phases = [cmath.exp(2j * cmath.pi * t / 8) for t in range(8)]
     seeds = itertools.islice(
         itertools.product(itertools.product(radii, phases), repeat=k),
         max_starts)
+    x = np.array([[r * p for r, p in seed] for seed in seeds], dtype=complex)
+    # one row per term, grouped by equation; ``bounds`` marks the groups
+    terms = [(e, c) for eq in equations for e, c in eq.items()]
+    bounds = np.cumsum([0] + [len(eq) for eq in equations[:-1]])
+    expo = np.array([[e[j] for j in active_vars] for e, _ in terms])
+    coef = np.array([complex(c) for _, c in terms])
+    rcond = np.finfo(float).eps * max(len(equations), k)
+    live = np.arange(len(x))
+    converged = {}
+    for _ in range(60):
+        if not live.size:
+            break
+        mono = coef * np.prod(x[:, None, :] ** expo, axis=2)
+        vals = np.add.reduceat(mono, bounds, axis=1)
+        jac = np.add.reduceat(mono[:, :, None] * expo / x[:, None, :],
+                              bounds, axis=1)
+        done = np.max(np.abs(vals), axis=1) < tol * 1e-3
+        converged.update(zip(live[done], x[done]))
+        keep = (~done & np.isfinite(vals).all(axis=1)
+                & np.isfinite(jac).all(axis=(1, 2)))
+        live, x, vals, jac = live[keep], x[keep], vals[keep], jac[keep]
+        u, s, vh = np.linalg.svd(jac, full_matrices=False)
+        significant = s > rcond * s[:, :1]
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=significant)
+        coords = inv * np.einsum("smp,sm->sp", u.conj(), -vals)
+        x = x + np.einsum("spk,sp->sk", vh.conj(), coords)
+        keep = np.isfinite(x).all(axis=1) & (np.abs(x) >= 1e-12).all(axis=1)
+        live, x = live[keep], x[keep]
     found = []
-    for seed in seeds:
-        point = {j: r * p for j, (r, p) in zip(active_vars, seed)}
-        refined = _gauss_newton(equations, active_vars, point, tol)
-        if refined is None:
+    for start in sorted(converged):
+        point = converged[start].tolist()
+        if any(abs(v) <= ZERO_ROOT_TOL for v in point):
             continue
-        if any(abs(v) <= ZERO_ROOT_TOL for v in refined.values()):
-            continue
-        if any(all(abs(refined[j] - prev[j]) < DEDUP_TOL for j in active_vars)
+        if any(all(abs(a - b) < DEDUP_TOL for a, b in zip(point, prev))
                for prev in found):
             continue
-        found.append(refined)
-    found.sort(key=lambda p: tuple((p[j].real, p[j].imag)
-                                   for j in active_vars))
-    return found
-
-
-def _gauss_newton(equations, active_vars, point, tol, iters=60):
-    idx = {j: t for t, j in enumerate(active_vars)}
-    x = np.array([point[j] for j in active_vars], dtype=complex)
-    for _ in range(iters):
-        vals = np.zeros(len(equations), dtype=complex)
-        jac = np.zeros((len(equations), len(active_vars)), dtype=complex)
-        for r, terms in enumerate(equations):
-            for e, c in terms.items():
-                term = complex(c)
-                for j in active_vars:
-                    if e[j] != 0:
-                        term *= x[idx[j]] ** e[j]
-                vals[r] += term
-                for j in active_vars:
-                    if e[j] != 0:
-                        jac[r, idx[j]] += term * e[j] / x[idx[j]]
-        if np.max(np.abs(vals)) < tol * 1e-3:
-            return {j: complex(x[idx[j]]) for j in active_vars}
-        try:
-            step, *_ = np.linalg.lstsq(jac, -vals, rcond=None)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        x = x + step
-        if np.any(np.abs(x) < 1e-12):
-            return None
-    return None
+        found.append(point)
+    found.sort(key=_root_key)
+    return [dict(zip(active_vars, point)) for point in found]
 
 
 # -- public API ------------------------------------------------------------
@@ -377,8 +392,7 @@ def solve_equations(equations: Sequence[dict], labels,
         if residual > tol:
             continue
         solutions.append(LeadingSolution(values, free, multiplicity, residual))
-    solutions.sort(key=lambda s: tuple((s.values[lab].real, s.values[lab].imag)
-                                       for lab in labels))
+    solutions.sort(key=lambda s: _root_key(s.value_vector(labels)))
     path = "".join(sorted(search.paths)) or "-"
     return SolveResult(solutions, search.certified, path)
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from toricpot import (INF, balanced_locus, build_example, classify,
-                      classify_fiber, leading, report_bounds, scan)
+                      classify_fiber, leading, lifting, report_bounds, scan)
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +53,22 @@ class TestClassifyFiber:
         assert r.lift is not None
         rv = r.lift["residual_valuation"]
         assert rv == "inf" or Fraction(rv) >= 2
+
+    def test_lift_builds_level_data_once(self, twoblow, monkeypatch):
+        calls = {"level_structure": 0, "flag_basis": 0}
+        for name in calls:
+            original = getattr(leading, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in (leading, classify, lifting):
+                monkeypatch.setattr(module, name, counting, raising=False)
+        r = classify_fiber(twoblow, (Fraction(13, 40), Fraction(3, 10)),
+                           lift_order=Fraction(2))
+        assert r.lift is not None
+        assert calls == {"level_structure": 1, "flag_basis": 1}
 
     def test_deterministic(self, twoblow):
         u = (Fraction(13, 40), Fraction(3, 10))

@@ -100,7 +100,8 @@ class TestPartialSolve:
 
 
 def _gauss_newton(equations, active_vars, point, tol, iters=60):
-    """The per-start Gauss-Newton loop stage (c) ran before it was batched."""
+    """Gauss-Newton from one start with ``np.linalg.lstsq`` steps: the
+    reference for the batched stage (c)."""
     idx = {j: t for t, j in enumerate(active_vars)}
     x = np.array([point[j] for j in active_vars], dtype=complex)
     for _ in range(iters):

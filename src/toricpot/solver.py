@@ -6,6 +6,10 @@ The strategy ladder, in order of preference:
     under the partial assignment, solve it by companion-matrix roots with
     multiplicity from root clustering;
 (b) two-variable elimination by a numerically interpolated resultant;
+(m) a square binomial system (every equation two terms, as many equations
+    as variables, nonsingular exponent matrix) in closed form through the
+    Smith normal form of its exponent matrix: all |det| roots, each
+    simple, certified by a residual relative to the size of the terms;
 (c) deterministic multistart Gauss-Newton (heuristic; results are
     certified only through their residuals, completeness is not).  All
     seeded starts advance together as one batch, and each takes the
@@ -21,11 +25,13 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .lattice import smith_normal_form
 from .leading import Equation, LeadingSystem, leading_equations
 
 RESIDUAL_TOL = 1e-9
@@ -83,6 +89,13 @@ def _substitute(terms: dict, assignment: dict):
         key = tuple(key)
         out[key] = out.get(key, 0) + value
     return {e: c for e, c in out.items() if abs(c) > 1e-14}
+
+
+def _term_size(terms: dict, point):
+    """Sum of the moduli of the terms of one equation at a point."""
+    return sum(abs(complex(c)) * math.prod(abs(point[j]) ** p
+                                           for j, p in enumerate(e))
+               for e, c in terms.items())
 
 
 def _variables_of(terms: dict):
@@ -217,6 +230,20 @@ class _Search:
             self._resultant_branch(assignment, multiplicity, remaining,
                                    active_vars)
             return
+        # stage (m): square binomial system in closed form
+        if (len(remaining) == len(active_vars)
+                and all(len(terms) == 2 for terms, _ in remaining)):
+            found = _binomial_roots([t for t, _ in remaining], active_vars,
+                                    self.tol)
+            if found is not None:
+                points, certified = found
+                self.paths.add("m")
+                self.certified &= certified
+                for point in points:
+                    new_assignment = dict(assignment)
+                    new_assignment.update(point)
+                    self.solutions.append((new_assignment, multiplicity))
+                return
         # stage (c): heuristic multistart Newton
         self.paths.add("c")
         self.certified = False
@@ -304,6 +331,44 @@ def _resultant_roots(f: dict, g: dict, x: int, y: int):
     return cluster_roots(roots)
 
 
+def _binomial_roots(equations, active_vars, tol):
+    """Every root of a square binomial system; ``None`` when it is singular.
+
+    Each equation c_a x^a + c_b x^b = 0 is the monomial equation
+    x^(a-b) = r with r = -c_b/c_a.  With D = U A V the Smith normal form
+    of the exponent matrix A, the substitution x_j = prod_k z_k^(V_jk)
+    turns the system into z_k^(d_k) = prod_i r_i^(U_ki) (Huber &
+    Sturmfels, Math. Comp. 1995).  Its roots are the |det A| choices of
+    one d_k-th root for each k, all distinct and simple.  The roots are
+    computed from logarithms, so no power overflows.  Returns
+    ``(points, certified)``: points with a coordinate beyond the double
+    range are left out, and ``certified`` holds when none is and every
+    residual is at most ``tol`` relative to the size of the terms.
+    """
+    rows, log_r = [], []
+    for eq in equations:
+        (a, ca), (b, cb) = sorted(eq.items())
+        rows.append([a[j] - b[j] for j in active_vars])
+        log_r.append(cmath.log(-complex(cb) / complex(ca)))
+    D, U, V = smith_normal_form(rows)
+    d = np.diagonal(D)
+    if not d.all():
+        return None
+    branches = np.array(list(itertools.product(*map(range, d))))
+    log_z = (np.array(U) @ log_r + 2j * np.pi * branches) / d
+    with np.errstate(over="ignore", under="ignore"):
+        x = np.exp(log_z @ np.array(V).T)
+    representable = np.isfinite(x).all(axis=1) & (x != 0).all(axis=1)
+    x = x[representable]
+    # |c_a x^a + c_b x^b| / (|c_a x^a| + |c_b x^b|) = |e^s - 1| / (1 + |e^s|)
+    # with s = log r - (a - b).log x; it is even in s, so take Re s <= 0
+    s = np.array(log_r) - np.log(x) @ np.array(rows).T
+    s = np.where(s.real > 0, -s, s)
+    residual = np.abs(np.expm1(s)) / (1 + np.abs(np.exp(s)))
+    certified = bool(representable.all() and (residual <= tol).all())
+    return [dict(zip(active_vars, p)) for p in x.tolist()], certified
+
+
 def _newton_multistart(equations, active_vars, tol, max_starts=200):
     """Deterministic seeded Gauss-Newton over the remaining variables.
 
@@ -370,11 +435,18 @@ def _newton_multistart(equations, active_vars, tol, max_starts=200):
 
 def solve_equations(equations: Sequence[dict], labels,
                     tol: float = RESIDUAL_TOL) -> SolveResult:
-    """Solve a list of exponent-dict Laurent equations over (C\\{0})^n."""
+    """Solve a list of exponent-dict Laurent equations over (C\\{0})^n.
+
+    A point is kept when each equation's residual there is at most ``tol``
+    times the sum of the moduli of its terms, or ``tol`` when that sum is
+    below 1.  A point at which a term overflows a double is dropped, and
+    the result is then not certified.
+    """
     original = [dict(t) for t in equations]
     normalized, free_idx = normalize(equations)
     nvars = len(labels)
     search = _Search(normalized, nvars, tol).run()
+    certified = search.certified
     solutions = []
     for assignment, multiplicity in search.solutions:
         values = {}
@@ -387,14 +459,22 @@ def solve_equations(equations: Sequence[dict], labels,
                 if j in free_idx:
                     free.add(lab)
         vec = {j: values[lab] for j, lab in enumerate(labels)}
-        residual = max((abs(sum(_substitute(t, vec).values()))
-                        for t in original), default=0.0)
-        if residual > tol:
+        try:
+            errors = [(abs(sum(_substitute(t, vec).values())),
+                       _term_size(t, vec)) for t in original]
+            finite = all(math.isfinite(e + size) for e, size in errors)
+        except OverflowError:
+            finite = False
+        if not finite:            # a term beyond the double range
+            certified = False
             continue
+        if not all(e / max(1.0, size) <= tol for e, size in errors):
+            continue
+        residual = max((e for e, _ in errors), default=0.0)
         solutions.append(LeadingSolution(values, free, multiplicity, residual))
     solutions.sort(key=lambda s: _root_key(s.value_vector(labels)))
     path = "".join(sorted(search.paths)) or "-"
-    return SolveResult(solutions, search.certified, path)
+    return SolveResult(solutions, certified, path)
 
 
 def solve(system: LeadingSystem, tol: float = RESIDUAL_TOL) -> SolveResult:

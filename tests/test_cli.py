@@ -17,6 +17,14 @@ def twoblow_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def cp3_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("poly") / "cp3.json"
+    assert main(["polytope", "example", "cpn", "--params", "3",
+                 "--out", str(path)]) == 0
+    return str(path)
+
+
+@pytest.fixture(scope="module")
 def cp1_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("poly") / "cp1.json"
     assert main(["polytope", "example", "cp1", "--out", str(path)]) == 0
@@ -57,6 +65,17 @@ class TestReports:
         again = json.dumps(doc, sort_keys=True, indent=2,
                            separators=(",", ": ")) + "\n"
         assert again == out
+
+    def test_solve_cp3_centre_certified(self, cp3_file, capsys):
+        # a square binomial system: solved in closed form and certified
+        rc, out = run_json(capsys, ["solve", "--polytope", cp3_file,
+                                    "--u", "1/4,1/4,1/4",
+                                    "--require-certified"])
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["path"] == "m"
+        assert doc["certified"] is True
+        assert len(doc["solutions"]) == 4
 
     def test_classify_json(self, twoblow_file, capsys):
         rc, out = run_json(capsys, ["classify", "--polytope", twoblow_file,

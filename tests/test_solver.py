@@ -2,13 +2,17 @@
 
 import cmath
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from toricpot import (build_example, leading_equations, solve, solve_partial,
-                      solver)
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from toricpot import (build_example, lattice, leading_equations, solve,
+                      solve_partial, solver)
 
 
 @pytest.fixture(scope="module")
@@ -180,15 +184,6 @@ def _cpn_equations(n, coefficients):
 
 
 class TestStageC:
-    @pytest.mark.parametrize("n, coefficients", CPN_CASES)
-    def test_cpn_centre_roots(self, n, coefficients):
-        result = solve(_cpn_system(n, coefficients))
-        assert result.path == "c"
-        assert result.certified is False
-        assert len(result.solutions) == n + 1
-        for s in result.solutions:
-            assert s.residual <= 1e-9
-
     @pytest.mark.parametrize("case", [
         *(f"cpn{n}-{i}" for i, (n, _) in enumerate(CPN_CASES)),
         "overdetermined", "underdetermined"])
@@ -228,6 +223,172 @@ class TestStageC:
         assert len(got) == len(expected)
         for point in got:
             assert abs(point[0] * point[1] - 1) <= tol
+
+
+def _binomial_equations(rows, coefficients):
+    """The equation c_a x^a + c_b x^b = 0 of each exponent row a - b, with
+    a and b its positive and negative parts."""
+    return [{tuple(max(p, 0) for p in row): ca,
+             tuple(max(-p, 0) for p in row): cb}
+            for row, (ca, cb) in zip(rows, coefficients)]
+
+
+def _relative_residual(terms, point):
+    """|sum of terms| / sum of |term| at ``point``, from logarithms so that
+    no power overflows."""
+    logs = [cmath.log(c) + sum(p * cmath.log(x) for p, x in zip(e, point))
+            for e, c in terms.items()]
+    top = max(t.real for t in logs)
+    values = [cmath.exp(t - top) for t in logs]
+    return abs(sum(values)) / sum(abs(v) for v in values)
+
+
+def _relative_distance(p, q):
+    return max(abs(a - b) / max(abs(a), abs(b)) for a, b in zip(p, q))
+
+
+_ratio = st.builds(lambda sign, p, q: sign * Fraction(p, q),
+                   st.sampled_from([1, -1]), st.integers(1, 9),
+                   st.integers(1, 9))
+
+
+@st.composite
+def _binomial_systems(draw, sizes):
+    """(rows, coefficients, |det|) of a nonsingular square binomial system
+    with exponent differences in [-3, 3] and |det| <= 64."""
+    n = draw(st.sampled_from(sizes))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n,
+                                  max_size=n), min_size=n, max_size=n))
+    det = abs(lattice.det(rows))
+    assume(0 < det <= 64)
+    coefficients = draw(st.lists(st.tuples(_ratio, _ratio), min_size=n,
+                                 max_size=n))
+    return rows, coefficients, int(det)
+
+
+def _within_double_range(rows, coefficients):
+    """Whether every coordinate of the roots, and every partial product of
+    every term, is far inside the double range; the moduli of the roots
+    are fixed by log|x| = A^-1 log|r| alone."""
+    log_r = [math.log(abs(cb / ca)) for ca, cb in coefficients]
+    log_x = np.abs(np.linalg.solve(np.array(rows, dtype=float), log_r))
+    sizes = list(log_x)
+    for eq in _binomial_equations(rows, coefficients):
+        sizes += [abs(math.log(abs(c))) + np.dot(e, log_x)
+                  for e, c in eq.items()]
+    return max(sizes) < 600
+
+
+def _check_binomial_roots(points, certified, rows, coefficients, det):
+    """A certified answer has all |det| roots, pairwise apart and with small
+    residuals; an answer within the double range must be certified."""
+    if _within_double_range(rows, coefficients):
+        assert certified
+    if not certified:
+        return
+    assert len(points) == det
+    for p, q in itertools.combinations(points, 2):
+        assert _relative_distance(p, q) > 1e-6
+    equations = _binomial_equations(rows, coefficients)
+    for point in points:
+        for terms in equations:
+            assert _relative_residual(terms, point) <= 1e-9
+
+
+class TestBinomialStage:
+    @pytest.mark.parametrize("n, coefficients", CPN_CASES)
+    def test_cpn_centre_roots(self, n, coefficients):
+        system = _cpn_system(n, coefficients)
+        result = solve(system)
+        assert result.path == "m"
+        assert result.certified is True
+        assert len(result.solutions) == n + 1
+        equations, active = _cpn_equations(n, coefficients)
+        expected = _reference_multistart(equations, active,
+                                         solver.RESIDUAL_TOL)
+        assert len(expected) == n + 1
+        for s, point in zip(result.solutions, expected):
+            assert s.multiplicity == 1
+            assert s.residual <= 1e-9
+            got = s.value_vector(system.variables)
+            assert max(abs(got[j] - point[j]) for j in active) <= 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(_binomial_systems(sizes=[1, 2, 3, 4]))
+    def test_closed_form_roots(self, case):
+        rows, coefficients, det = case
+        n = len(rows)
+        points, certified = solver._binomial_roots(
+            _binomial_equations(rows, coefficients), list(range(n)),
+            solver.RESIDUAL_TOL)
+        points = [[p[j] for j in range(n)] for p in points]
+        _check_binomial_roots(points, certified, rows, coefficients, det)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_binomial_systems(sizes=[3, 4]))
+    def test_solve_equations_takes_stage_m(self, case):
+        rows, coefficients, det = case
+        # no equation in one variable, so stages (a) and (b) do not apply
+        assume(all(sum(p != 0 for p in row) >= 2 for row in rows))
+        n = len(rows)
+        result = solver.solve_equations(
+            _binomial_equations(rows, coefficients), list(range(n)))
+        assert "m" in result.path
+        assert all(s.multiplicity == 1 for s in result.solutions)
+        points = [s.value_vector(range(n)) for s in result.solutions]
+        _check_binomial_roots(points, result.certified, rows, coefficients,
+                              det)
+
+    def test_wrong_factorization_is_not_certified(self, monkeypatch):
+        # the residual check, not the algebra, decides `certified`: feed
+        # the stage a transposed V and it must refuse to certify
+        def transposed_v(matrix):
+            d, u, v = lattice.smith_normal_form(matrix)
+            return d, u, [list(col) for col in zip(*v)]
+
+        monkeypatch.setattr(solver, "smith_normal_form", transposed_v)
+        result = solve(_cpn_system(3, CPN_CASES[1][1]))
+        assert result.path == "m"
+        assert result.certified is False
+
+    def test_singular_system_takes_stage_c(self):
+        # xy = 1 stated twice and z = x: square, binomial, det A = 0
+        equations = [{(1, 1, 0): 1, (0, 0, 0): -1},
+                     {(1, 1, 0): 2, (0, 0, 0): -2},
+                     {(0, 0, 1): 1, (1, 0, 0): -1}]
+        assert solver._binomial_roots(equations, [0, 1, 2],
+                                      solver.RESIDUAL_TOL) is None
+        result = solver.solve_equations(equations, ["x", "y", "z"])
+        assert result.path == "c"
+        assert result.certified is False
+
+    def test_root_beyond_double_range_is_not_certified(self):
+        # x y^3 = 1 and y = 1e-150 put x at 1e450
+        equations = [{(1, 3): 1, (0, 0): -1}, {(0, 1): 1, (0, 0): -1e-150}]
+        assert solver._binomial_roots(equations, [0, 1],
+                                      solver.RESIDUAL_TOL) == ([], False)
+
+    @pytest.mark.parametrize("equations, roots", [
+        # x^3 = 1e200 y, y = 1e100 z, z = x: x = z = +-1e150 and
+        # y = +-1e250 are doubles, but the power x^3 = +-1e450 is not
+        ([{(3, 0, 0): 1, (0, 1, 0): -1e200},
+          {(0, 1, 0): 1, (0, 0, 1): -1e100},
+          {(0, 0, 1): 1, (1, 0, 0): -1}], 2),
+        # xy = 1e200 z, z = x, y = z: x = y = z = 1e200, and the product
+        # xy overflows without an error
+        ([{(1, 1, 0): 1, (0, 0, 1): -1e200},
+          {(0, 0, 1): 1, (1, 0, 0): -1},
+          {(0, 1, 0): 1, (0, 0, 1): -1}], 1),
+    ])
+    def test_term_beyond_double_range_is_not_certified(self, equations,
+                                                       roots):
+        points, certified = solver._binomial_roots(
+            equations, [0, 1, 2], solver.RESIDUAL_TOL)
+        assert len(points) == roots and certified
+        result = solver.solve_equations(equations, ["x", "y", "z"])
+        assert result.path == "m"
+        assert result.solutions == []
+        assert result.certified is False
 
 
 class TestSortKey:

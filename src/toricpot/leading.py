@@ -37,10 +37,6 @@ class LevelStructure:
     def level(self, l: int) -> Level:
         return self.levels[l - 1]
 
-    @property
-    def full(self) -> bool:
-        return self.K is not None
-
 
 def level_partition(ell) -> tuple:
     """Facet indices grouped by equal value of ``ell``, ascending value."""
@@ -80,12 +76,6 @@ class FlagBasis:
     structure: LevelStructure
     labels: list   # of (l, s) in construction order
     rows: list     # basis vectors e*_{l,s}, same order
-
-    def variable_names(self):
-        return [f"y[{l},{s}]" for l, s in self.labels]
-
-    def level_of(self, idx: int) -> int:
-        return self.labels[idx][0]
 
     def monomial_coordinates(self, v) -> list:
         """Exponents of ``y^v`` in the flag variables.
@@ -138,14 +128,6 @@ class Equation:
     """Laurent polynomial equation in the flag variables, set to zero."""
     label: tuple                 # (l, s) of the differentiated variable
     terms: dict                  # exponent tuple -> scalar coefficient
-
-    def variables_used(self):
-        used = set()
-        for e in self.terms:
-            for i, p in enumerate(e):
-                if p != 0:
-                    used.add(i)
-        return used
 
 
 @dataclass

@@ -9,6 +9,12 @@ Two inductions:
   leading solution into a critical point with Novikov-series
   coordinates, Newton style.
 
+Newton lifting runs on one engine, ``_NewtonGrid``: every exponent is a
+multiple of 1/q, so a series of valuation >= 0 truncated at ``T^N`` is a
+complex vector of length ``cap = qN``.  A grid with ``cap`` above
+``MAX_LIFT_CAP`` raises :class:`MonoidOverflow` before anything is
+allocated.
+
 Plus the discrete-monoid bookkeeping for the exponents encountered, and
 the closed-form parameter study of the two-point blow-up with a
 one-divisor weight ``w T^kappa``.
@@ -25,9 +31,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import (BadGenerator, BadKahlerParams, DegenerateCritical,
-                     MonoidOverflow, NoFullFlag, SpanViolation)
+                     MonoidOverflow, NoFullFlag, OutOfScope,
+                     SpanViolation)
 from .leading import flag_basis, level_structure
-from .novikov import FLOAT, INF, NovikovSeries, as_exponent
+from .novikov import DEFAULT_TOL, FLOAT, INF, NovikovSeries, as_exponent
 from .polytope import MomentPolytope, build_example
 from .potential import (BulkDeformation, BulkEntry, PotentialFunction,
                         fano_bulk_potential, leading_potential)
@@ -269,43 +276,18 @@ def _lift_bulk(P: MomentPolytope, u, ls, fb, sol, N, gens=(), max_steps=500,
         f"gradient order failed to reach {N} within {max_steps} corrections")
 
 
-def _series_solve(H, rhs, trunc, tol):
-    """Solve a square Novikov-series system by valuation-pivoted elimination."""
-    n = len(rhs)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(H)]
-    for col in range(n):
-        pivot = None
-        best = INF
-        for r in range(col, n):
-            v = M[r][col].valuation()
-            if v < best:
-                best = v
-                pivot = r
-        if pivot is None or best is INF:
-            raise DegenerateCritical("second-derivative matrix is singular "
-                                     "to working order")
-        M[col], M[pivot] = M[pivot], M[col]
-        inv = M[col][col].inverse(trunc)
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and not M[r][col].is_zero:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
-
-
 def lift_point(F: PotentialFunction, y0, N, max_iter=80, tol=LIFT_TOL):
     """Newton-correct a leading solution into a critical point mod T^N.
 
     ``y0`` is a vector of nonzero complex numbers solving the system to
     leading order.  Each iteration solves the linearized critical-point
-    equation in Novikov arithmetic and multiplies the point by the
-    exponential of the correction.  Returns ``(y, residual_valuation)``.
+    equation on the exponent grid (see ``_NewtonGrid``) and multiplies
+    the point by the exponential of the correction.  Returns ``(y,
+    residual_valuation)``; the valuation is ``math.inf``, because the
+    iteration stops only once the gradient vanishes below ``T^N``.
     """
-    N = as_exponent(N)
-    y0_series = [NovikovSeries.const(complex(c), mode=FLOAT, trunc=N)
-                 for c in y0]
-    return _lift_from_series(F, y0_series, N, max_iter=max_iter, tol=tol)
+    y0_series = [NovikovSeries.const(complex(c), mode=FLOAT) for c in y0]
+    return _NewtonGrid(F, N, tol=tol).lift(y0_series, max_iter), INF
 
 
 # -- two-point blow-up parameter study -------------------------------------
@@ -330,10 +312,6 @@ class CaseReport:
     mu: Fraction
     solutions: list                        # of CaseSolution
     degenerate: bool                       # multiple secondary root present
-
-    @property
-    def count(self):
-        return len(self.solutions)
 
 
 def case_analysis_two_point(alpha, w, kappa, N=None, lift=True):
@@ -367,17 +345,15 @@ def case_analysis_two_point(alpha, w, kappa, N=None, lift=True):
         bulk = BulkDeformation(
             {1: NovikovSeries.monomial(w, kappa, mode=FLOAT)}, mode=FLOAT)
         F = fano_bulk_potential(P, u_vec, bulk, trunc=as_exponent(N) + 1)
+        grid = _NewtonGrid(F, N, (mu,))
         for c_bar, d_bar, mult in raw:
             sol = CaseSolution(c_bar, d_bar, mult)
             if mult == 1:
-                y0_series = [
-                    NovikovSeries.const(d_bar, mode=FLOAT, trunc=N),
-                    NovikovSeries.const(-1, mode=FLOAT, trunc=N)
-                    + NovikovSeries.monomial(c_bar, mu, mode=FLOAT, trunc=N),
-                ]
-                y, kv = _lift_from_series(F, y0_series, as_exponent(N))
-                sol.lifted = y
-                sol.lift_residual_valuation = kv
+                sol.lifted = grid.lift([
+                    NovikovSeries.const(d_bar, mode=FLOAT),
+                    NovikovSeries.const(-1, mode=FLOAT)
+                    + NovikovSeries.monomial(c_bar, mu, mode=FLOAT)])
+                sol.lift_residual_valuation = INF
             out.append(sol)
         return out
 
@@ -428,328 +404,250 @@ def case_analysis_two_point(alpha, w, kappa, N=None, lift=True):
     return reports
 
 
-# -- dense fast path for Newton lifting ------------------------------------
+# -- Newton lifting on the exponent grid -----------------------------------
 #
-# When every exponent in sight is a multiple of 1/q for a modest q, a
-# float-mode series is just a complex coefficient vector on that grid and
-# every product is a convolution.  This turns the Newton iteration from
-# minutes of exact-rational bookkeeping into milliseconds of numpy work.
+# A product of grid vectors is a truncated convolution.  Series Newton
+# and inversion by doubling follow Brent & Kung, J. ACM 25 (1978).
 
-class _Grid:
-    """Series calculus on the exponent grid (1/q)Z, truncated below cap/q.
+MAX_LIFT_CAP = 10_000   # longest grid a Newton lift allocates
 
-    A series is a pair ``(base, arr)`` meaning ``sum arr[j] T^((base+j)/q)``,
-    or ``None`` for zero.  Coefficients below ``tol`` count as noise when
-    valuations are measured.
+
+def _first(hit):
+    """Index of the first True entry of a boolean vector, or None."""
+    j = int(hit.argmax())
+    return j if hit[j] else None
+
+
+def _inverse(a, L):
+    """First ``L`` coefficients of ``1/a``, ``a[0] != 0``, by Newton
+    doubling."""
+    b = np.zeros(max(L, 1), dtype=complex)
+    b[0] = 1.0 / a[0]
+    m = 1
+    while m < L:
+        m2 = min(2 * m, L)
+        ab = np.convolve(a[:m2], b[:m])[:m2]
+        b[:m2] = 2 * b[:m2] - np.convolve(b[:m], ab)[:m2]
+        m = m2
+    return b
+
+
+def _power(a, p, inv):
+    """``a**p`` truncated to ``len(a)`` by repeated squaring, from ``a`` or,
+    for ``p < 0``, from its inverse ``inv``."""
+    L = len(a)
+    if p < 0:
+        a, p = inv, -p
+    result = None
+    while p:
+        if p & 1:
+            result = a if result is None else np.convolve(result, a)[:L]
+        if p > 1:
+            a = np.convolve(a, a)[:L]
+        p >>= 1
+    return result
+
+
+def _exp(c):
+    """``exp`` of each row of ``c`` (series of valuation >= 0), by the
+    derivative recurrence ``k e_k = sum_j j c_j e_{k-j}``.
+
+    When ``c_j = 0`` for ``0 < j < v``, the ``e_k`` of ``v`` consecutive
+    orders depend only on earlier orders, so each such block is one
+    product with the Toeplitz matrix ``(j c_j)``, read as a strided view.
+    """
+    R, L = c.shape
+    e = np.zeros_like(c)
+    e[:, 0] = np.exp(c[:, 0])
+    jc = np.arange(L) * c
+    nz = np.flatnonzero(jc.any(axis=0))
+    if not nz.size:
+        return e
+    v = int(nz[0])
+    # T[r, k, m] = jc[r, k - m], zero for m > k
+    z = np.zeros((R, 2 * L - 1), dtype=complex)
+    z[:, :L] = jc[:, ::-1]
+    r_st, k_st = z.strides
+    T = np.lib.stride_tricks.as_strided(
+        z, shape=(R, L, L), strides=(r_st, k_st, k_st))[:, ::-1]
+    for s in range(v, L, v):
+        b = min(v, L - s)
+        e[:, s:s + b] = (T[:, s:s + b, :s] @ e[:, :s, None])[..., 0] \
+            / np.arange(s, s + b)
+    return e
+
+
+class _NewtonGrid:
+    """A potential compiled onto the exponent grid (1/q)Z below ``N``.
+
+    ``q`` is the lcm of the denominators of ``N``, of the coefficient
+    exponents below ``N`` and of ``exponents`` (those of the starting
+    points), and index ``j`` of a length-``cap`` vector stands for
+    ``T^(j/q)``, ``cap = qN``.  The terms become an exponent matrix
+    ``E`` (terms x n) and a coefficient matrix ``C`` (terms x cap); a
+    monomial coefficient ``a T^(j/q)`` is applied as a shift by ``j`` and
+    a scaling by ``a``.  A grid longer than ``MAX_LIFT_CAP`` raises
+    :class:`MonoidOverflow` before anything is allocated.  Coefficients
+    of modulus at most ``tol`` count as noise when valuations are
+    measured.
     """
 
-    def __init__(self, q: int, cap: int, tol: float):
-        self.q = q
-        self.cap = cap
-        self.tol = tol
+    def __init__(self, F: PotentialFunction, N, exponents=(), tol=LIFT_TOL):
+        N = as_exponent(N)
+        if not N > 0:
+            raise ValueError(f"lift order must be positive, got {N}")
+        terms = [([(x, c) for x, c in coeff.terms if x < N], e)
+                 for coeff, e in F.terms]
+        terms = [(c, e) for c, e in terms if c]
+        exps = [x for c, _ in terms for x, _ in c]
+        exps += [as_exponent(x) for x in exponents]
+        if any(x < 0 for x in exps):
+            raise OutOfScope("Newton lifting needs coefficients and starting "
+                             "points of valuation >= 0")
+        q = math.lcm(N.denominator, *(x.denominator for x in exps))
+        cap = int(N * q)
+        if cap > MAX_LIFT_CAP:
+            raise MonoidOverflow(
+                f"exponent grid q={q}, cap={cap} exceeds the Newton lifting "
+                f"bound cap <= {MAX_LIFT_CAP}")
+        self.N, self.q, self.cap, self.tol = N, q, cap, tol
+        self.n = F.n
+        self.E = np.array([e for _, e in terms], dtype=float).reshape(-1, F.n)
+        self.C = np.zeros((len(terms), cap), dtype=complex)
+        self.shift = []          # (index, scalar) of a monomial coefficient
+        for t, (coeff, _) in enumerate(terms):
+            idx = [int(x * q) for x, _ in coeff]
+            for j, (_, c) in zip(idx, coeff):
+                self.C[t, j] = complex(c)
+            self.shift.append((idx[0], self.C[t, idx[0]])
+                              if len(idx) == 1 else None)
+        self.orders = [Fraction(j, q) for j in range(cap)]
 
-    def trim(self, base, arr):
-        arr = np.asarray(arr, dtype=complex)
-        keep = self.cap - base
-        if keep <= 0:
-            return None
-        arr = arr[:keep]
-        nz = np.flatnonzero(arr)
-        if nz.size == 0:
-            return None
-        arr = arr[nz[0]:nz[-1] + 1]
-        return (base + int(nz[0]), arr)
+    def lift(self, y0, max_iter=80):
+        """Newton-correct the start ``y0`` (unit series) into a critical
+        point mod ``T^N``; returns its coordinates as float series.
 
-    def from_series(self, s: NovikovSeries):
-        if s.is_zero:
-            return None
-        pairs = []
-        for e, c in s.terms:
-            idx = Fraction(e) * self.q
-            assert idx.denominator == 1
-            pairs.append((int(idx), complex(c)))
-        base = min(i for i, _ in pairs)
-        arr = np.zeros(max(i for i, _ in pairs) - base + 1, dtype=complex)
-        for i, c in pairs:
-            arr[i - base] += c
-        return self.trim(base, arr)
-
-    def to_series(self, d, trunc):
-        if d is None:
-            return NovikovSeries.zero(mode=FLOAT, trunc=trunc)
-        base, arr = d
-        recs = [{"exp": Fraction(base + j, self.q), "re": c.real, "im": c.imag}
-                for j, c in enumerate(arr) if abs(c) > self.tol]
-        return NovikovSeries.from_records(recs, mode=FLOAT, trunc=trunc)
-
-    def significant(self, d):
-        """Drop leading noise; ``None`` when nothing exceeds the threshold."""
-        if d is None:
-            return None
-        base, arr = d
-        big = np.flatnonzero(np.abs(arr) > self.tol)
-        if big.size == 0:
-            return None
-        j0 = int(big[0])
-        return (base + j0, arr[j0:])
-
-    def valuation(self, d):
-        s = self.significant(d)
-        return INF if s is None else Fraction(s[0], self.q)
-
-    def add(self, a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        base = min(a[0], b[0])
-        end = max(a[0] + len(a[1]), b[0] + len(b[1]))
-        arr = np.zeros(end - base, dtype=complex)
-        arr[a[0] - base:a[0] - base + len(a[1])] += a[1]
-        arr[b[0] - base:b[0] - base + len(b[1])] += b[1]
-        return self.trim(base, arr)
-
-    def neg(self, a):
-        return None if a is None else (a[0], -a[1])
-
-    def scale(self, a, c):
-        if a is None or c == 0:
-            return None
-        return (a[0], a[1] * c)
-
-    def mul(self, a, b):
-        if a is None or b is None:
-            return None
-        return self.trim(a[0] + b[0], np.convolve(a[1], b[1]))
-
-    def inv(self, a):
-        """Reciprocal by Newton doubling; leading noise is discarded first."""
-        a = self.significant(a)
-        if a is None:
-            raise DegenerateCritical("cannot invert a series that vanishes "
-                                     "to working order")
-        base, arr = a
-        L = self.cap + base          # indices of the result run below cap
-        if L < 1:
-            return None
-        arr = arr[:L] if len(arr) > L else arr
-        b = np.array([1.0 / arr[0]], dtype=complex)
-        m = 1
-        while m < L:
-            m = min(2 * m, L)
-            ab = np.convolve(arr[:m], b)[:m]
-            b = np.concatenate([b, np.zeros(m - len(b), dtype=complex)])
-            b = 2 * b - np.convolve(b, ab)[:m]
-        return self.trim(-base, b)
-
-    def powi(self, a, p: int):
-        if p == 0:
-            return (0, np.array([1.0 + 0j]))
-        if p < 0:
-            return self.powi(self.inv(a), -p)
-        result = None
-        sq = a
-        while p:
-            if p & 1:
-                result = sq if result is None else self.mul(result, sq)
-            sq = self.mul(sq, sq) if p > 1 else sq
-            p >>= 1
-        return result
-
-    def exp(self, a):
-        """Exponential via the derivative recurrence; needs valuation >= 0.
-
-        Sub-threshold coefficients are kept — they are often exactly the
-        corrections a Newton step computed — but genuinely significant
-        entries at negative orders are refused.
+        Each iteration evaluates the term values ``V``, the gradient
+        ``E^T V`` and the Hessian, measures the gradient's valuation
+        against the running maximum of ``|V|`` (an entry below ``tol``
+        times that envelope is roundoff), solves for the correction
+        ``delta`` and multiplies each coordinate by ``exp(delta)``.
         """
-        if a is None:
-            return (0, np.array([1.0 + 0j]))
-        sig = self.significant(a)
-        if sig is not None and sig[0] < 0:
-            raise DegenerateCritical("exponent series has a pole; correction "
-                                     "is not small")
-        base, arr = a
-        if base < 0:
-            arr = arr[-base:]
-            base = 0
-            if len(arr) == 0:
-                return (0, np.array([1.0 + 0j]))
-        L = self.cap
-        c = np.zeros(L, dtype=complex)
-        end = min(L, base + len(arr))
-        c[base:end] = arr[:end - base]
-        import cmath
-        e = np.zeros(L, dtype=complex)
-        e[0] = cmath.exp(c[0])
-        jc = np.arange(L) * c
-        for k in range(1, L):
-            e[k] = np.dot(jc[1:k + 1], e[:k][::-1]) / k
-        return self.trim(0, e)
+        q, cap, tol = self.q, self.cap, self.tol
+        y = np.zeros((self.n, cap), dtype=complex)
+        for i, s in enumerate(y0):
+            for x, c in s.terms:
+                if x < self.N:
+                    y[i, int(x * q)] = complex(c)
+        for i in range(self.n):
+            if abs(y[i, 0]) <= tol:
+                raise DegenerateCritical(
+                    f"starting coordinate {i + 1} is not a unit")
+        # 1/y, kept in step with y: y exp(delta) has inverse exp(-delta)/y
+        yinv = np.array([_inverse(yi, cap) for yi in y])
+        prev = None
+        for _ in range(max_iter):
+            V = self._term_values(y, yinv)
+            env = np.maximum.accumulate(
+                np.maximum(np.abs(V).max(axis=0, initial=0), 1.0))
+            G = self.E.T @ V
+            k = _first((np.abs(G) > tol * env).any(axis=0))
+            if k is None:
+                return [self._series(yi) for yi in y]
+            if prev is not None and k <= prev:
+                raise DegenerateCritical(
+                    f"no progress at order {Fraction(k, q)}; leading critical "
+                    "point is degenerate")
+            prev = k
+            H = np.einsum("tr,ts,tj->rsj", self.E, self.E, V)
+            delta = np.zeros((self.n, cap), dtype=complex)
+            for i, (d, lo) in enumerate(self._solve(H, -G)):
+                j = _first(np.abs(d) > tol)
+                if j is not None and j + lo <= 0:
+                    raise DegenerateCritical(
+                        "correction is not small; leading critical point is "
+                        "degenerate")
+                # the orders >= 0, sub-threshold ones included: they are
+                # often the corrections themselves
+                delta[i] = d[-lo:]
+            e = _exp(np.vstack([delta, -delta]))
+            for i in range(self.n):
+                y[i] = np.convolve(y[i], e[i])[:cap]
+                yinv[i] = np.convolve(yinv[i], e[self.n + i])[:cap]
+        raise MonoidOverflow(f"Newton failed to reach order {self.N} in "
+                             f"{max_iter} iterations")
 
-
-def _grid_for(F: PotentialFunction, y0_series, N, tol, limit=250000):
-    """Common exponent grid for a lift, or ``None`` when one is impractical."""
-    q = 1
-    exps = [N]
-    for coeff, _ in F.terms:
-        exps.extend(e for e, _ in coeff.terms)
-    for s in y0_series:
-        exps.extend(e for e, _ in s.terms)
-    for e in exps:
-        if e is INF:
-            continue
-        f = Fraction(e)
-        if f < 0:
-            return None
-        q = q * f.denominator // math.gcd(q, f.denominator)
-    cap = Fraction(N) * q
-    cap = int(math.ceil(cap)) if cap.denominator != 1 else int(cap)
-    if q * cap > limit:
-        return None
-    return _Grid(q, cap, tol)
-
-
-def _envelope(grid: _Grid, dense_list):
-    """Running max of coefficient magnitudes by grid order.
-
-    Entries of a sum that fall below roundoff times this envelope are
-    numerically indistinguishable from zero, so valuations of residuals
-    are measured against it.
-    """
-    env = np.zeros(grid.cap)
-    for d in dense_list:
-        if d is None:
-            continue
-        base, arr = d
-        hi = min(grid.cap, base + len(arr))
-        if hi > base >= 0:
-            env[base:hi] = np.maximum(env[base:hi], np.abs(arr[:hi - base]))
-    return np.maximum.accumulate(np.maximum(env, 1.0))
-
-
-def _val_scaled(grid: _Grid, d, env):
-    """First order whose coefficient exceeds ``tol`` times the local scale."""
-    if d is None:
-        return INF
-    base, arr = d
-    hi = min(grid.cap, base + len(arr))
-    for j in range(max(base, 0), hi):
-        if abs(arr[j - base]) > grid.tol * env[j]:
-            return Fraction(j, grid.q)
-    return INF
-
-
-def _dense_lift(F: PotentialFunction, y0_series, N, grid: _Grid, max_iter,
-                tol):
-    g = grid
-    coeffs = [(g.from_series(c.to_float()), e) for c, e in F.terms]
-    coeffs = [(c, e) for c, e in coeffs if c is not None]
-    y = [g.from_series(s.to_float()) for s in y0_series]
-    n = len(y)
-    prev_val = None
-    for _ in range(max_iter):
-        # every term value feeds both the gradient and the second derivatives
-        termvals = []
-        powers = [{} for _ in range(n)]
-        for c, e in coeffs:
-            val = c
+    def _term_values(self, y, yinv):
+        """``V[t] = C[t] y^E[t]`` truncated below ``cap``."""
+        cap = self.cap
+        powers = [{} for _ in range(self.n)]
+        one = np.zeros(cap, dtype=complex)
+        one[0] = 1
+        V = np.zeros((len(self.E), cap), dtype=complex)
+        for t, e in enumerate(self.E):
+            # a shifted coefficient needs only cap - j orders of y^e
+            j, a = self.shift[t] or (0, None)
+            L = cap - j
+            val = None
             for i, p in enumerate(e):
                 if p:
                     if p not in powers[i]:
-                        powers[i][p] = g.powi(y[i], p)
-                    val = g.mul(val, powers[i][p])
-            termvals.append((val, e))
-        G = [None] * n
-        for val, e in termvals:
-            for k in range(n):
-                if e[k]:
-                    G[k] = g.add(G[k], g.scale(val, e[k]))
-        env = _envelope(g, [val for val, _ in termvals])
-        k_res = min((_val_scaled(g, r, env) for r in G), default=INF)
-        if k_res >= N:
-            return [g.to_series(yi, N) for yi in y], INF
-        if prev_val is not None and k_res <= prev_val:
-            raise DegenerateCritical(
-                f"no progress at order {k_res}; leading critical point is "
-                "degenerate")
-        prev_val = k_res
-        H = [[None] * n for _ in range(n)]
-        for val, e in termvals:
+                        powers[i][p] = _power(y[i], int(p), yinv[i])
+                    pw = powers[i][p][:L]
+                    val = pw if val is None else np.convolve(val, pw)[:L]
+            if val is None:
+                val = one[:L]
+            if a is None:
+                V[t] = np.convolve(self.C[t], val)[:cap]
+            else:
+                V[t, j:] = a * val
+        return V
+
+    def _solve(self, H, rhs):
+        """``H x = rhs`` by Gauss-Jordan elimination with valuation pivoting.
+
+        Row ``r`` of the augmented matrix is held as an array of its
+        columns ``col..n`` over the orders ``lo[r]/q, ..., (cap-1)/q``,
+        ``lo[r] <= 0``; a finished column is dropped, since nothing reads
+        it again.  Normalising a row by a pivot of valuation ``v/q``
+        shifts it down by ``v``, and every product is truncated below
+        ``cap`` again.  Returns each solution entry with its ``lo``.
+        """
+        n, cap, tol = self.n, self.cap, self.tol
+        rows = [np.vstack([H[r], rhs[r]]) for r in range(n)]
+        lo = [0] * n
+        for col in range(n):
+            best, pivot = None, None
+            for r in range(col, n):
+                j = _first(np.abs(rows[r][0]) > tol)
+                if j is not None and (best is None or j + lo[r] < best):
+                    best, pivot = j + lo[r], r
+            if pivot is None:
+                raise DegenerateCritical("second-derivative matrix is "
+                                         "singular to working order")
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            lo[col], lo[pivot] = lo[pivot], lo[col]
+            # leading noise of the pivot is dropped before inverting
+            inv = _inverse(rows[col][0, best - lo[col]:], cap + best)
+            width = cap - lo[col] + best
+            top = rows[col] = np.array([np.convolve(x, inv)[:width]
+                                        for x in rows[col][1:]])
+            lo[col] -= best
             for r in range(n):
-                if not e[r]:
+                if r == col:
                     continue
-                for s in range(r, n):
-                    if e[s]:
-                        H[r][s] = g.add(H[r][s], g.scale(val, e[r] * e[s]))
-        for r in range(n):
-            for s in range(r + 1, n):
-                H[s][r] = H[r][s]
-        delta = _dense_solve(g, H, [g.neg(r) for r in G])
-        for d in delta:
-            if g.valuation(d) <= 0:
-                raise DegenerateCritical(
-                    "correction is not small; leading critical point is "
-                    "degenerate")
-        y = [g.mul(yi, g.exp(d)) for yi, d in zip(y, delta)]
-    raise MonoidOverflow(f"Newton failed to reach order {N} in {max_iter} "
-                         "iterations")
+                f, rows[r] = rows[r][0], rows[r][1:]
+                if f.any():
+                    start = lo[r] + lo[col]
+                    row = np.zeros((len(top), cap - start), dtype=complex)
+                    row[:, -lo[col]:] = rows[r]
+                    row -= [np.convolve(f, t)[:cap - start] for t in top]
+                    rows[r], lo[r] = row, start
+        return [(rows[i][0], lo[i]) for i in range(n)]
 
-
-def _dense_solve(g: _Grid, H, rhs):
-    """Gaussian elimination with valuation pivoting on grid series."""
-    n = len(rhs)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(H)]
-    for col in range(n):
-        pivot = None
-        best = INF
-        for r in range(col, n):
-            v = g.valuation(M[r][col])
-            if v < best:
-                best = v
-                pivot = r
-        if pivot is None or best is INF:
-            raise DegenerateCritical("second-derivative matrix is singular "
-                                     "to working order")
-        M[col], M[pivot] = M[pivot], M[col]
-        inv = g.inv(M[col][col])
-        M[col] = [g.mul(x, inv) for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] is not None:
-                f = M[r][col]
-                M[r] = [g.add(a, g.neg(g.mul(f, b)))
-                        for a, b in zip(M[r], M[col])]
-    return [M[i][n] for i in range(n)]
-
-
-def _lift_from_series(F: PotentialFunction, y0_series, N, max_iter=80,
-                      tol=LIFT_TOL):
-    """Newton lifting starting from series-valued initial coordinates."""
-    Ft = F.to_float().truncate_coefficients(N + Fraction(1))
-    grid = _grid_for(Ft, y0_series, N, tol)
-    if grid is not None:
-        return _dense_lift(Ft, y0_series, N, grid, max_iter, tol)
-    y = list(y0_series)
-    prev_val = None
-    for _ in range(max_iter):
-        residuals, k = Ft.gradient_residual(y)
-        if k >= N:
-            return y, k
-        if prev_val is not None and k <= prev_val:
-            raise DegenerateCritical(
-                f"no progress at order {k}; leading critical point is "
-                "degenerate")
-        prev_val = k
-        hd = Ft.hessian(y)
-        if hd.degenerate:
-            raise DegenerateCritical("second-derivative matrix vanishes to "
-                                     "working order")
-        delta = _series_solve(hd.matrix, [-r for r in residuals], N, tol)
-        for d in delta:
-            if not d.is_zero and d.valuation() <= 0:
-                raise DegenerateCritical(
-                    "correction is not small; leading critical point is "
-                    "degenerate")
-        y = [yi * d.truncate(N).exp() for yi, d in zip(y, delta)]
-    raise MonoidOverflow(f"Newton failed to reach order {N} in {max_iter} "
-                         "iterations")
+    def _series(self, a):
+        """The float series of a grid vector, without its noise."""
+        mag = np.abs(a)
+        idx = np.flatnonzero((mag > self.tol) & (mag >= DEFAULT_TOL))
+        return NovikovSeries._from_sorted(
+            zip([self.orders[j] for j in idx], a[idx].tolist()), self.N)

@@ -112,6 +112,16 @@ class NovikovSeries:
     def monomial(cls, coeff, exp, mode=EXACT, trunc=INF, tol=DEFAULT_TOL):
         return cls([(exp, coeff)], trunc=trunc, mode=mode, tol=tol)
 
+    @classmethod
+    def _from_sorted(cls, terms, trunc, mode=FLOAT, tol=DEFAULT_TOL):
+        """A series from terms that are already merged, sorted by exponent,
+        below ``trunc`` and above ``tol``; nothing is checked."""
+        s = object.__new__(cls)
+        for name, value in zip(cls.__slots__,
+                               (tuple(terms), trunc, mode, tol)):
+            object.__setattr__(s, name, value)
+        return s
+
     # -- structure ---------------------------------------------------------
 
     def valuation(self):

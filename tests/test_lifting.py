@@ -1,14 +1,22 @@
 """Order-by-order lifting of leading solutions and Newton point lifts."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from toricpot import (FLOAT, INF, NovikovSeries, build_example,
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toricpot import (FLOAT, INF, BulkDeformation, NovikovSeries,
+                      PotentialFunction, build_example,
                       case_analysis_two_point, fano_bulk_potential,
                       leading_equations, leading_potential, lift_bulk,
                       lift_point, monoid_enumerate, solution_to_torus, solve)
-from toricpot.errors import BadKahlerParams, DegenerateCritical
+from toricpot.errors import (BadKahlerParams, DegenerateCritical,
+                             MonoidOverflow, OutOfScope)
+from toricpot.lifting import LIFT_TOL, _exp, _inverse, _power
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +83,15 @@ class TestPointLift:
             lift_point(F, [1j], Fraction(3))  # Hessian fine but not critical
             # a genuinely non-improvable start must raise
 
+    def test_start_must_be_a_unit(self):
+        P = build_example("cp1")
+        F = leading_potential(P, (Fraction(1, 2),), mode=FLOAT,
+                              trunc=Fraction(4))
+        with pytest.raises(DegenerateCritical, match="not a unit"):
+            lift_point(F, [0], Fraction(3))
+        with pytest.raises(ValueError, match="positive"):
+            lift_point(F, [1], Fraction(0))
+
 
 class TestCaseAnalysis:
     def test_parameter_validation(self):
@@ -135,3 +152,486 @@ class TestSolutionToTorus:
         residuals, kv = F.gradient_residual(yser)
         # critical through the first level by construction
         assert kv is INF or kv > Fraction(3, 10)
+
+
+def _lifted_scale(reports):
+    return max((abs(c) for r in reports for sol in r.solutions
+                for y in sol.lifted or [] for _, c in y.terms), default=1.0)
+
+
+def _gradient_oracle(alpha, w, kappa, N, report, sol):
+    """Largest gradient coefficient below T^N at a lifted point, from
+    sparse float series arithmetic (no grid)."""
+    P = build_example("two_point_blowup", alpha, (1 - alpha) / 2)
+    bulk = BulkDeformation(
+        {1: NovikovSeries.monomial(w, kappa, mode=FLOAT)}, mode=FLOAT)
+    F = fano_bulk_potential(P, report.u, bulk, trunc=Fraction(N) + 1)
+    residuals, _ = F.gradient_residual(sol.lifted)
+    return max((abs(c) for r in residuals for e, c in r.terms if e < N),
+               default=0.0)
+
+
+class TestLargeGrid:
+    def test_fine_grid_lifts(self):
+        # q = 420 and cap = 1260: more than the former q*cap limit of
+        # the grid, whose sparse fallback raised after about 40 s
+        alpha, w, kappa, N = Fraction(4, 7), 0.5, Fraction(71, 420), 3
+        reports = case_analysis_two_point(alpha, w, kappa, N=N)
+        assert [r.case for r in reports] == [2]
+        sols = reports[0].solutions
+        assert [s.multiplicity for s in sols] == [1, 1, 1]
+        for s in sols:
+            assert s.lift_residual_valuation >= 3
+            assert max(y.valuation() for y in s.lifted) == 0
+        scale = _lifted_scale(reports)
+        worst = _gradient_oracle(alpha, w, kappa, N, reports[0], sols[0])
+        assert worst <= 1e-9 * scale
+
+    def test_cap_bound_raises_before_allocating(self):
+        P = build_example("cp1")
+        F = leading_potential(P, (Fraction(1, 2),), mode=FLOAT,
+                              trunc=Fraction(4))
+        N = Fraction(10 ** 6 + 1, 7)           # q = 14, cap = 2000002
+        with pytest.raises(MonoidOverflow, match=r"q=14, cap=2000002"):
+            lift_point(F, [1], N)
+
+
+class TestOutputSeries:
+    def test_lifted_series_are_canonical(self):
+        # the grid builds its output without the constructor's checks
+        reports = case_analysis_two_point(Fraction(2, 5), 1, Fraction(1, 10),
+                                          N=Fraction(2))
+        for sol in reports[0].solutions:
+            for y in sol.lifted:
+                assert y == NovikovSeries(y.terms, trunc=Fraction(2),
+                                          mode=FLOAT)
+                assert y.tol == 1e-10
+
+    def test_negative_exponent_out_of_scope(self):
+        F = PotentialFunction(1, [(NovikovSeries.monomial(
+            1.0, Fraction(-1, 2), mode=FLOAT), (1,))])
+        with pytest.raises(OutOfScope):
+            lift_point(F, [1], Fraction(2))
+
+
+# -- reference: the per-series grid engine the Newton lift ran on before ----
+#
+# Kept verbatim (renamed) so that the array engine in lifting.py can be
+# checked against it: same pivots and valuations, and lifted coefficients
+# equal up to roundoff.
+
+class _RefGrid:
+    """Series calculus on the exponent grid (1/q)Z, truncated below cap/q.
+
+    A series is a pair ``(base, arr)`` meaning ``sum arr[j] T^((base+j)/q)``,
+    or ``None`` for zero.  Coefficients below ``tol`` count as noise when
+    valuations are measured.
+    """
+
+    def __init__(self, q: int, cap: int, tol: float):
+        self.q = q
+        self.cap = cap
+        self.tol = tol
+
+    def trim(self, base, arr):
+        arr = np.asarray(arr, dtype=complex)
+        keep = self.cap - base
+        if keep <= 0:
+            return None
+        arr = arr[:keep]
+        nz = np.flatnonzero(arr)
+        if nz.size == 0:
+            return None
+        arr = arr[nz[0]:nz[-1] + 1]
+        return (base + int(nz[0]), arr)
+
+    def from_series(self, s: NovikovSeries):
+        if s.is_zero:
+            return None
+        pairs = []
+        for e, c in s.terms:
+            idx = Fraction(e) * self.q
+            assert idx.denominator == 1
+            pairs.append((int(idx), complex(c)))
+        base = min(i for i, _ in pairs)
+        arr = np.zeros(max(i for i, _ in pairs) - base + 1, dtype=complex)
+        for i, c in pairs:
+            arr[i - base] += c
+        return self.trim(base, arr)
+
+    def to_series(self, d, trunc):
+        if d is None:
+            return NovikovSeries.zero(mode=FLOAT, trunc=trunc)
+        base, arr = d
+        recs = [{"exp": Fraction(base + j, self.q), "re": c.real, "im": c.imag}
+                for j, c in enumerate(arr) if abs(c) > self.tol]
+        return NovikovSeries.from_records(recs, mode=FLOAT, trunc=trunc)
+
+    def significant(self, d):
+        """Drop leading noise; ``None`` when nothing exceeds the threshold."""
+        if d is None:
+            return None
+        base, arr = d
+        big = np.flatnonzero(np.abs(arr) > self.tol)
+        if big.size == 0:
+            return None
+        j0 = int(big[0])
+        return (base + j0, arr[j0:])
+
+    def valuation(self, d):
+        s = self.significant(d)
+        return INF if s is None else Fraction(s[0], self.q)
+
+    def add(self, a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        base = min(a[0], b[0])
+        end = max(a[0] + len(a[1]), b[0] + len(b[1]))
+        arr = np.zeros(end - base, dtype=complex)
+        arr[a[0] - base:a[0] - base + len(a[1])] += a[1]
+        arr[b[0] - base:b[0] - base + len(b[1])] += b[1]
+        return self.trim(base, arr)
+
+    def neg(self, a):
+        return None if a is None else (a[0], -a[1])
+
+    def scale(self, a, c):
+        if a is None or c == 0:
+            return None
+        return (a[0], a[1] * c)
+
+    def mul(self, a, b):
+        if a is None or b is None:
+            return None
+        return self.trim(a[0] + b[0], np.convolve(a[1], b[1]))
+
+    def inv(self, a):
+        """Reciprocal by Newton doubling; leading noise is discarded first."""
+        a = self.significant(a)
+        if a is None:
+            raise DegenerateCritical("cannot invert a series that vanishes "
+                                     "to working order")
+        base, arr = a
+        L = self.cap + base          # indices of the result run below cap
+        if L < 1:
+            return None
+        arr = arr[:L] if len(arr) > L else arr
+        b = np.array([1.0 / arr[0]], dtype=complex)
+        m = 1
+        while m < L:
+            m = min(2 * m, L)
+            ab = np.convolve(arr[:m], b)[:m]
+            b = np.concatenate([b, np.zeros(m - len(b), dtype=complex)])
+            b = 2 * b - np.convolve(b, ab)[:m]
+        return self.trim(-base, b)
+
+    def powi(self, a, p: int):
+        if p == 0:
+            return (0, np.array([1.0 + 0j]))
+        if p < 0:
+            return self.powi(self.inv(a), -p)
+        result = None
+        sq = a
+        while p:
+            if p & 1:
+                result = sq if result is None else self.mul(result, sq)
+            sq = self.mul(sq, sq) if p > 1 else sq
+            p >>= 1
+        return result
+
+    def exp(self, a):
+        """Exponential via the derivative recurrence; needs valuation >= 0.
+
+        Sub-threshold coefficients are kept — they are often exactly the
+        corrections a Newton step computed — but genuinely significant
+        entries at negative orders are refused.
+        """
+        if a is None:
+            return (0, np.array([1.0 + 0j]))
+        sig = self.significant(a)
+        if sig is not None and sig[0] < 0:
+            raise DegenerateCritical("exponent series has a pole; correction "
+                                     "is not small")
+        base, arr = a
+        if base < 0:
+            arr = arr[-base:]
+            base = 0
+            if len(arr) == 0:
+                return (0, np.array([1.0 + 0j]))
+        L = self.cap
+        c = np.zeros(L, dtype=complex)
+        end = min(L, base + len(arr))
+        c[base:end] = arr[:end - base]
+        import cmath
+        e = np.zeros(L, dtype=complex)
+        e[0] = cmath.exp(c[0])
+        jc = np.arange(L) * c
+        for k in range(1, L):
+            e[k] = np.dot(jc[1:k + 1], e[:k][::-1]) / k
+        return self.trim(0, e)
+
+
+def _ref_grid_for(F: PotentialFunction, y0_series, N, tol, limit=250000):
+    """Common exponent grid for a lift, or ``None`` when one is impractical."""
+    q = 1
+    exps = [N]
+    for coeff, _ in F.terms:
+        exps.extend(e for e, _ in coeff.terms)
+    for s in y0_series:
+        exps.extend(e for e, _ in s.terms)
+    for e in exps:
+        if e is INF:
+            continue
+        f = Fraction(e)
+        if f < 0:
+            return None
+        q = q * f.denominator // math.gcd(q, f.denominator)
+    cap = Fraction(N) * q
+    cap = int(math.ceil(cap)) if cap.denominator != 1 else int(cap)
+    if q * cap > limit:
+        return None
+    return _RefGrid(q, cap, tol)
+
+
+def _ref_envelope(grid: _RefGrid, dense_list):
+    """Running max of coefficient magnitudes by grid order.
+
+    Entries of a sum that fall below roundoff times this envelope are
+    numerically indistinguishable from zero, so valuations of residuals
+    are measured against it.
+    """
+    env = np.zeros(grid.cap)
+    for d in dense_list:
+        if d is None:
+            continue
+        base, arr = d
+        hi = min(grid.cap, base + len(arr))
+        if hi > base >= 0:
+            env[base:hi] = np.maximum(env[base:hi], np.abs(arr[:hi - base]))
+    return np.maximum.accumulate(np.maximum(env, 1.0))
+
+
+def _ref_val_scaled(grid: _RefGrid, d, env):
+    """First order whose coefficient exceeds ``tol`` times the local scale."""
+    if d is None:
+        return INF
+    base, arr = d
+    hi = min(grid.cap, base + len(arr))
+    for j in range(max(base, 0), hi):
+        if abs(arr[j - base]) > grid.tol * env[j]:
+            return Fraction(j, grid.q)
+    return INF
+
+
+def _reference_dense_lift(F: PotentialFunction, y0_series, N,
+                          grid: _RefGrid, max_iter, tol):
+    g = grid
+    coeffs = [(g.from_series(c.to_float()), e) for c, e in F.terms]
+    coeffs = [(c, e) for c, e in coeffs if c is not None]
+    y = [g.from_series(s.to_float()) for s in y0_series]
+    n = len(y)
+    prev_val = None
+    for _ in range(max_iter):
+        # every term value feeds both the gradient and the second derivatives
+        termvals = []
+        powers = [{} for _ in range(n)]
+        for c, e in coeffs:
+            val = c
+            for i, p in enumerate(e):
+                if p:
+                    if p not in powers[i]:
+                        powers[i][p] = g.powi(y[i], p)
+                    val = g.mul(val, powers[i][p])
+            termvals.append((val, e))
+        G = [None] * n
+        for val, e in termvals:
+            for k in range(n):
+                if e[k]:
+                    G[k] = g.add(G[k], g.scale(val, e[k]))
+        env = _ref_envelope(g, [val for val, _ in termvals])
+        k_res = min((_ref_val_scaled(g, r, env) for r in G), default=INF)
+        if k_res >= N:
+            return [g.to_series(yi, N) for yi in y], INF
+        if prev_val is not None and k_res <= prev_val:
+            raise DegenerateCritical(
+                f"no progress at order {k_res}; leading critical point is "
+                "degenerate")
+        prev_val = k_res
+        H = [[None] * n for _ in range(n)]
+        for val, e in termvals:
+            for r in range(n):
+                if not e[r]:
+                    continue
+                for s in range(r, n):
+                    if e[s]:
+                        H[r][s] = g.add(H[r][s], g.scale(val, e[r] * e[s]))
+        for r in range(n):
+            for s in range(r + 1, n):
+                H[s][r] = H[r][s]
+        delta = _ref_dense_solve(g, H, [g.neg(r) for r in G])
+        for d in delta:
+            if g.valuation(d) <= 0:
+                raise DegenerateCritical(
+                    "correction is not small; leading critical point is "
+                    "degenerate")
+        y = [g.mul(yi, g.exp(d)) for yi, d in zip(y, delta)]
+    raise MonoidOverflow(f"Newton failed to reach order {N} in {max_iter} "
+                         "iterations")
+
+
+def _ref_dense_solve(g: _RefGrid, H, rhs):
+    """Gaussian elimination with valuation pivoting on grid series."""
+    n = len(rhs)
+    M = [row[:] + [rhs[i]] for i, row in enumerate(H)]
+    for col in range(n):
+        pivot = None
+        best = INF
+        for r in range(col, n):
+            v = g.valuation(M[r][col])
+            if v < best:
+                best = v
+                pivot = r
+        if pivot is None or best is INF:
+            raise DegenerateCritical("second-derivative matrix is singular "
+                                     "to working order")
+        M[col], M[pivot] = M[pivot], M[col]
+        inv = g.inv(M[col][col])
+        M[col] = [g.mul(x, inv) for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] is not None:
+                f = M[r][col]
+                M[r] = [g.add(a, g.neg(g.mul(f, b)))
+                        for a, b in zip(M[r], M[col])]
+    return [M[i][n] for i in range(n)]
+
+
+
+def _reference_case_lifts(alpha, w, kappa, N):
+    """The case analysis without lifting, each simple root then lifted by
+    the reference engine."""
+    P = build_example("two_point_blowup", alpha, (1 - alpha) / 2)
+    bulk = BulkDeformation(
+        {1: NovikovSeries.monomial(complex(w), kappa, mode=FLOAT)},
+        mode=FLOAT)
+    out = []
+    for r in case_analysis_two_point(alpha, w, kappa, N=N, lift=False):
+        F = fano_bulk_potential(P, r.u, bulk, trunc=Fraction(N) + 1)
+        Ft = F.to_float().truncate_coefficients(Fraction(N) + 1)
+        lifts = []
+        for s in r.solutions:
+            if s.multiplicity != 1:
+                lifts.append((s, None, None))
+                continue
+            y0 = [NovikovSeries.const(s.d_bar, mode=FLOAT, trunc=N),
+                  NovikovSeries.const(-1, mode=FLOAT, trunc=N)
+                  + NovikovSeries.monomial(s.c_bar, r.mu, mode=FLOAT,
+                                           trunc=N)]
+            grid = _ref_grid_for(Ft, y0, Fraction(N), LIFT_TOL)
+            y, kv = _reference_dense_lift(Ft, y0, Fraction(N), grid, 80,
+                                          LIFT_TOL)
+            lifts.append((s, y, kv))
+        out.append((r, lifts))
+    return out
+
+
+DOUBLE_ROOT_W = -(27 / 2) ** (1 / 3)
+REFERENCE_INPUTS = [
+    (Fraction(2, 5), 1, Fraction(1, 100), 2),        # cases 1 and 3
+    (Fraction(2, 5), 1, Fraction(1, 100), 3),
+    (Fraction(2, 5), 1, Fraction(1, 10), 2),         # case 2
+    (Fraction(2, 5), 1, Fraction(1, 10), 3),
+    (Fraction(2, 5), 1, Fraction(1, 30), 2),         # case 4
+    (Fraction(2, 5), 1, Fraction(1, 30), 3),
+    (Fraction(2, 5), DOUBLE_ROOT_W, Fraction(1, 30), 2),
+    # coefficients up to 1e28: absolute valuations would never settle
+    (Fraction(2, 5), complex(-0.6308099723035494, -0.40568310149967457),
+     Fraction(1, 30), 3),
+    (Fraction(3, 5), 0.75j, Fraction(1, 20), 3),     # cases 1 and 3
+]
+
+
+class TestReferenceLift:
+    @pytest.mark.parametrize("alpha,w,kappa,N", REFERENCE_INPUTS)
+    def test_matches_reference_engine(self, alpha, w, kappa, N):
+        got = case_analysis_two_point(alpha, w, kappa, N=N)
+        want = _reference_case_lifts(alpha, w, kappa, N)
+        assert [r.case for r in got] == [r.case for r, _ in want]
+        scale = _lifted_scale(got)
+        for r, (r_ref, lifts) in zip(got, want):
+            assert (r.u, r.mu, r.degenerate) == \
+                (r_ref.u, r_ref.mu, r_ref.degenerate)
+            assert len(r.solutions) == len(lifts)
+            for s, (s_ref, y_ref, kv_ref) in zip(r.solutions, lifts):
+                assert (s.c_bar, s.d_bar, s.multiplicity) == \
+                    (s_ref.c_bar, s_ref.d_bar, s_ref.multiplicity)
+                assert s.lift_residual_valuation == kv_ref
+                if y_ref is None:
+                    assert s.lifted is None
+                    continue
+                for y, yr in zip(s.lifted, y_ref, strict=True):
+                    a, b = dict(y.terms), dict(yr.terms)
+                    for e in set(a) | set(b):
+                        assert abs(a.get(e, 0) - b.get(e, 0)) <= \
+                            1e-10 * scale, (e, a.get(e), b.get(e))
+
+
+# -- the engine's primitives against sparse float series --------------------
+
+@st.composite
+def grid_series(draw, valuation=0):
+    """(q, cap, series of valuation >= ``valuation``, its grid vector)."""
+    q = draw(st.integers(1, 12))
+    cap = q * draw(st.integers(1, 3))
+    idx = draw(st.lists(st.integers(valuation, cap - 1), min_size=1,
+                        max_size=6, unique=True)) if valuation < cap else []
+    coeffs = [draw(st.complex_numbers(min_magnitude=0.01, max_magnitude=2))
+              for _ in idx]
+    vec = np.zeros(cap, dtype=complex)
+    for j, c in zip(idx, coeffs):
+        vec[j] = c
+    series = NovikovSeries([(Fraction(j, q), c) for j, c in zip(idx, coeffs)],
+                           trunc=Fraction(cap, q), mode=FLOAT)
+    return q, cap, series, vec
+
+
+def _assert_vector_matches(vec, q, series):
+    scale = max([abs(c) for _, c in series.terms] + [1.0])
+    want = np.zeros(len(vec), dtype=complex)
+    for e, c in series.terms:
+        want[int(e * q)] = c
+    assert np.abs(vec - want).max(initial=0) <= 1e-9 * scale
+
+
+class TestGridPrimitives:
+    @settings(max_examples=60, deadline=None)
+    @given(grid_series(), st.integers(2, 4))
+    def test_power_is_truncated_product(self, data, p):
+        q, cap, a, va = data
+        unit = a + 1.5             # keeps the constant term away from 0
+        va[0] += 1.5
+        _assert_vector_matches(_power(va, p, None), q,
+                               (unit ** p).truncate(Fraction(cap, q)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_series(valuation=1), st.complex_numbers(min_magnitude=0.5,
+                                                        max_magnitude=2))
+    def test_inverse(self, data, lead):
+        q, cap, a, va = data
+        unit = a + lead
+        va[0] += lead
+        inv = _inverse(va, cap)
+        _assert_vector_matches(inv, q, unit.inverse(Fraction(cap, q)))
+        _assert_vector_matches(_power(va, -2, inv), q,
+                               (unit ** -2).truncate(Fraction(cap, q)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_series(valuation=1), st.complex_numbers(max_magnitude=1))
+    def test_exp(self, data, c0):
+        q, cap, a, va = data
+        va[0] += c0
+        got = _exp(np.vstack([va, -va]))
+        _assert_vector_matches(got[0], q, (a + c0).exp())
+        _assert_vector_matches(np.convolve(got[0], got[1])[:cap], q,
+                               NovikovSeries.one(mode=FLOAT))

@@ -420,7 +420,9 @@ def _first(hit):
 
 def _inverse(a, L):
     """First ``L`` coefficients of ``1/a``, ``a[0] != 0``, by Newton
-    doubling."""
+    doubling; ``a`` may be shorter than ``L``."""
+    if len(a) < L:
+        a = np.concatenate([a, np.zeros(L - len(a), dtype=complex)])
     b = np.zeros(max(L, 1), dtype=complex)
     b[0] = 1.0 / a[0]
     m = 1

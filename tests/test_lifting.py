@@ -187,6 +187,23 @@ class TestLargeGrid:
         worst = _gradient_oracle(alpha, w, kappa, N, reports[0], sols[0])
         assert worst <= 1e-9 * scale
 
+    def test_double_root_weight_at_order_three(self):
+        # Pins the current outcome: the previous engine raised
+        # DegenerateCritical here, at order 12/5, and which of the two
+        # happens rests on roundoff.  The lift's coefficients reach 3e52;
+        # the same engine in long double agrees within 2e-12 of that.
+        alpha, kappa, N = Fraction(2, 5), Fraction(1, 30), 3
+        reports = case_analysis_two_point(alpha, DOUBLE_ROOT_W, kappa, N=N)
+        assert [r.case for r in reports] == [4]
+        r = reports[0]
+        assert r.degenerate
+        assert [s.multiplicity for s in r.solutions] == [1, 2]
+        simple, double = r.solutions
+        assert double.lifted is None
+        assert simple.lift_residual_valuation is INF
+        worst = _gradient_oracle(alpha, DOUBLE_ROOT_W, kappa, N, r, simple)
+        assert worst <= 1e-9 * _lifted_scale(reports)
+
     def test_cap_bound_raises_before_allocating(self):
         P = build_example("cp1")
         F = leading_potential(P, (Fraction(1, 2),), mode=FLOAT,
@@ -625,6 +642,27 @@ class TestGridPrimitives:
         _assert_vector_matches(inv, q, unit.inverse(Fraction(cap, q)))
         _assert_vector_matches(_power(va, -2, inv), q,
                                (unit ** -2).truncate(Fraction(cap, q)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid_series(valuation=1), st.complex_numbers(min_magnitude=0.5,
+                                                        max_magnitude=2),
+           st.data())
+    def test_inverse_of_shorter_input(self, data, lead, draw):
+        # the pivot rows of the elimination are shorter than the inverse
+        # they need; the missing orders count as 0
+        q, cap, a, va = data
+        k = draw.draw(st.integers(1, cap))
+        va[0] += lead
+        short = [(e, c) for e, c in (a + lead).terms if e < Fraction(k, q)]
+        unit = NovikovSeries(short, trunc=Fraction(cap, q), mode=FLOAT)
+        _assert_vector_matches(_inverse(va[:k], cap), q,
+                               unit.inverse(Fraction(cap, q)))
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 7])
+    def test_inverse_of_a_constant(self, L):
+        want = np.zeros(L, dtype=complex)
+        want[0] = 0.5
+        assert np.array_equal(_inverse(np.array([2.0 + 0j]), L), want)
 
     @settings(max_examples=60, deadline=None)
     @given(grid_series(valuation=1), st.complex_numbers(max_magnitude=1))

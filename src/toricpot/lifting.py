@@ -163,12 +163,14 @@ def _lift_bulk(P: MomentPolytope, u, ls, fb, sol, N, gens=(), max_steps=500,
             if b > a:
                 monoid.generators.add(b - a)
 
-    pending: dict = {}   # facet -> {exponent: weight coefficient}
+    pending: dict = {}   # facet -> {grid index: weight coefficient}
 
     def build_bulk():
-        entries = {
-            i: NovikovSeries(sorted(d.items()), mode=FLOAT, tol=tol * 1e-3)
-            for i, d in pending.items()}
+        entries = {}
+        for i, d in pending.items():
+            idx = sorted(d)
+            entries[i] = NovikovSeries._from_indices(
+                q, idx, [d[x] for x in idx], INF, FLOAT, tol * 1e-3)
         return BulkDeformation(entries, mode=FLOAT, tol=tol * 1e-3)
 
     steps = []
@@ -249,18 +251,17 @@ def _lift_bulk(P: MomentPolytope, u, ls, fb, sol, N, gens=(), max_steps=500,
         for (i, v, S, yv), coeff in zip(usable, c):
             if abs(coeff) < tol * 1e-3:
                 continue
-            delta_exp = k - S
-            admit(delta_exp, idx - int(S * q))
+            d_idx = idx - int(S * q)
+            admit(k - S, d_idx)
             # successive weights must only change at strictly higher order
-            if i in prev_orders and delta_exp <= prev_orders[i]:
+            if i in prev_orders and d_idx <= prev_orders[i]:
                 congruent = False
-            prev_orders[i] = delta_exp
+            prev_orders[i] = d_idx
             a = coeff / yv
             slot = pending.setdefault(i, {})
-            slot[delta_exp] = slot.get(delta_exp, 0) + a
-            # multiply by exp(a T^{delta_exp}) on the dense grid; the
+            slot[d_idx] = slot.get(d_idx, 0) + a
+            # multiply by exp(a T^{d_idx/q}) on the dense grid; the
             # exponential is sparse, so apply it as shifted adds
-            d_idx = int(delta_exp * q)
             base = contrib[i]
             new = base.copy()
             term = 1.0 + 0j
@@ -523,7 +524,6 @@ class _NewtonGrid:
                 self.C[t, j] = complex(c)
             self.shift.append((idx[0], self.C[t, idx[0]])
                               if len(idx) == 1 else None)
-        self.orders = [Fraction(j, q) for j in range(cap)]
 
     def lift(self, y0, max_iter=80):
         """Newton-correct the start ``y0`` (unit series) into a critical
@@ -651,5 +651,6 @@ class _NewtonGrid:
         """The float series of a grid vector, without its noise."""
         mag = np.abs(a)
         idx = np.flatnonzero((mag > self.tol) & (mag >= DEFAULT_TOL))
-        return NovikovSeries._from_sorted(
-            zip([self.orders[j] for j in idx], a[idx].tolist()), self.N)
+        return NovikovSeries._from_indices(
+            self.q, idx.tolist(), a[idx].tolist(), self.cap, FLOAT,
+            DEFAULT_TOL)

@@ -12,6 +12,16 @@ Membership conventions: the series lies in the valuation ring when its
 valuation is >= 0, in the maximal ideal when it is > 0, and it is a unit
 of the valuation ring when the valuation is exactly 0.  The valuation of
 the zero series is ``math.inf``.
+
+Storage.  The exponents and a finite ``trunc`` of a series all lie on
+(1/q)Z for one int ``q``, kept as the least such: a series holds ``q``,
+the increasing int indices ``x_i = q e_i`` with the coefficients as two
+lists, and the int index ``q * trunc`` (``math.inf`` for exact data).
+Equal series therefore have equal storage.  Sums, products, truncation,
+valuation tests, ``exp`` and ``inverse`` work on these ints, over the
+lcm of the two ``q`` when two series meet.  The ``Fraction`` exponents
+of ``terms``, ``valuation``, ``leading``, ``coefficient`` and ``trunc``
+are made only where they are read.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -58,16 +69,17 @@ def _coerce_coeff(c, mode):
     return complex(c)
 
 
-def _coeff_is_zero(c, mode, tol):
-    if mode == EXACT:
-        return c == 0
-    return abs(c) < tol
-
-
 class NovikovSeries:
-    """Immutable truncated series over the Novikov ring."""
+    """Immutable truncated series over the Novikov ring.
 
-    __slots__ = ("terms", "trunc", "mode", "tol")
+    Stored as the least denominator ``_q``, the increasing int exponent
+    indices ``_idx`` and their nonzero coefficients ``_coeffs`` (lists),
+    and the int truncation index ``_cap`` (``math.inf`` for exact data):
+    term ``i`` is ``_coeffs[i] T^(_idx[i]/_q)`` and ``trunc`` is
+    ``_cap/_q``.  ``terms`` is built from these on first read.
+    """
+
+    __slots__ = ("_q", "_idx", "_coeffs", "_cap", "mode", "tol", "_terms")
 
     def __init__(self, terms: Iterable = (), trunc=INF, mode: str = EXACT,
                  tol: float = DEFAULT_TOL):
@@ -82,14 +94,53 @@ class NovikovSeries:
                 merged[exp] = merged[exp] + coeff
             else:
                 merged[exp] = coeff
-        clean = sorted(
-            (e, c) for e, c in merged.items()
-            if e < trunc and not _coeff_is_zero(c, mode, tol)
-        )
-        object.__setattr__(self, "terms", tuple(clean))
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "tol", tol)
+        exps = sorted(e for e in merged if e < trunc)
+        q = math.lcm(*[e.denominator for e in exps])
+        if trunc is INF:
+            cap = INF
+        else:
+            q = math.lcm(q, trunc.denominator)
+            cap = trunc.numerator * (q // trunc.denominator)
+        self._set(q, [e.numerator * (q // e.denominator) for e in exps],
+                  [merged[e] for e in exps], cap, mode, tol)
+
+    def _set(self, q, idx, coeffs, cap, mode, tol):
+        """Store after dropping zero coefficients (exact zeros, and in
+        float mode those of modulus below ``tol``) and reducing ``q`` to
+        the least denominator."""
+        if mode == EXACT:
+            zero = [i for i, c in enumerate(coeffs) if not c]
+        else:
+            zero = [i for i, c in enumerate(coeffs) if not c or abs(c) < tol]
+        if zero:
+            zero = set(zero)
+            idx = [x for i, x in enumerate(idx) if i not in zero]
+            coeffs = [c for i, c in enumerate(coeffs) if i not in zero]
+        if q > 1:
+            g = math.gcd(q, *idx) if cap is INF else math.gcd(q, cap, *idx)
+            if g > 1:
+                q //= g
+                idx = [x // g for x in idx]
+                if cap is not INF:
+                    cap //= g
+        setter = object.__setattr__
+        setter(self, "_q", q)
+        setter(self, "_idx", idx)
+        setter(self, "_coeffs", coeffs)
+        setter(self, "_cap", cap)
+        setter(self, "mode", mode)
+        setter(self, "tol", tol)
+        setter(self, "_terms", None)
+
+    @classmethod
+    def _from_indices(cls, q, idx, coeffs, cap, mode, tol):
+        """The series ``sum_i coeffs[i] T^(idx[i]/q)`` mod ``T^(cap/q)``
+        from increasing int indices below the int ``cap`` (or
+        ``math.inf``); zero coefficients are dropped and ``q`` is
+        reduced as in the constructor."""
+        s = object.__new__(cls)
+        s._set(q, idx, coeffs, cap, mode, tol)
+        return s
 
     def __setattr__(self, *args):
         raise AttributeError("NovikovSeries is immutable")
@@ -112,55 +163,68 @@ class NovikovSeries:
     def monomial(cls, coeff, exp, mode=EXACT, trunc=INF, tol=DEFAULT_TOL):
         return cls([(exp, coeff)], trunc=trunc, mode=mode, tol=tol)
 
-    @classmethod
-    def _from_sorted(cls, terms, trunc, mode=FLOAT, tol=DEFAULT_TOL):
-        """A series from terms that are already merged, sorted by exponent,
-        below ``trunc`` and above ``tol``; nothing is checked.  Newton
-        lifting builds its output this way: going through ``__init__``
-        costs about 9% of the ``newton-cases`` throughput."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "terms", tuple(terms))
-        object.__setattr__(s, "trunc", trunc)
-        object.__setattr__(s, "mode", mode)
-        object.__setattr__(s, "tol", tol)
-        return s
-
     # -- structure ---------------------------------------------------------
+
+    @property
+    def terms(self):
+        """``((exponent, coefficient), ...)`` with ``Fraction`` exponents,
+        increasing."""
+        terms = self._terms
+        if terms is None:
+            q = self._q
+            # from a list: a tuple built from an iterator of unknown length
+            # is resized, which strands its spare block on a free list
+            terms = tuple([(Fraction(x, q), c)
+                           for x, c in zip(self._idx, self._coeffs)])
+            object.__setattr__(self, "_terms", terms)
+        return terms
+
+    @property
+    def trunc(self):
+        """Exclusive truncation order; ``math.inf`` for exact data."""
+        cap = self._cap
+        return INF if cap is INF else Fraction(cap, self._q)
 
     def valuation(self):
         """Minimal stored exponent; ``math.inf`` for the zero series."""
-        return self.terms[0][0] if self.terms else INF
+        return Fraction(self._idx[0], self._q) if self._idx else INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._idx
 
     def in_lambda0(self) -> bool:
-        return self.valuation() >= 0
+        return not self._idx or self._idx[0] >= 0
 
     def in_lambda_plus(self) -> bool:
-        return self.valuation() > 0
+        return not self._idx or self._idx[0] > 0
 
     def is_unit(self) -> bool:
         """Member of the valuation ring with invertible reduction."""
-        return self.valuation() == 0
+        return bool(self._idx) and self._idx[0] == 0
 
     def coefficient(self, exp):
         exp = as_exponent(exp)
-        for e, c in self.terms:
-            if e == exp:
-                return c
+        if exp is not INF:
+            x = exp * self._q
+            if x.denominator == 1:
+                idx = self._idx
+                k = bisect_left(idx, x.numerator)
+                if k < len(idx) and idx[k] == x.numerator:
+                    return self._coeffs[k]
         return Fraction(0) if self.mode == EXACT else 0j
 
     def leading(self):
         """(exponent, coefficient) of the lowest order term."""
-        if not self.terms:
+        if not self._idx:
             raise DivisionByZero("zero series has no leading term")
-        return self.terms[0]
+        return Fraction(self._idx[0], self._q), self._coeffs[0]
 
     def reduction(self):
         """Constant term, i.e. reduction modulo the maximal ideal."""
-        return self.coefficient(0)
+        if self._idx and self._idx[0] == 0:
+            return self._coeffs[0]
+        return Fraction(0) if self.mode == EXACT else 0j
 
     def _check(self, other):
         if not isinstance(other, NovikovSeries):
@@ -169,21 +233,36 @@ class NovikovSeries:
             raise ModeMismatch(f"cannot mix {self.mode} and {other.mode} series")
         return max(self.tol, other.tol)
 
+    def _without_constant(self):
+        """The series minus its constant term, dropped from the storage."""
+        if self._idx and self._idx[0] == 0:
+            return NovikovSeries._from_indices(
+                self._q, self._idx[1:], self._coeffs[1:], self._cap,
+                self.mode, self.tol)
+        return self
+
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, float, complex)):
             other = NovikovSeries.const(other, mode=self.mode, tol=self.tol)
         tol = self._check(other)
-        trunc = min(self.trunc, other.trunc)
-        return NovikovSeries(self.terms + other.terms, trunc=trunc,
-                             mode=self.mode, tol=tol)
+        q, ia, ta, ib, tb = _common_grid(self, other)
+        cap = min(ta, tb)
+        merged = dict(zip(ia, self._coeffs))
+        for x, c in zip(ib, other._coeffs):
+            a = merged.get(x)
+            merged[x] = c if a is None else a + c
+        idx = sorted(x for x in merged if x < cap)
+        return NovikovSeries._from_indices(q, idx, [merged[x] for x in idx],
+                                           cap, self.mode, tol)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NovikovSeries([(e, -c) for e, c in self.terms], trunc=self.trunc,
-                             mode=self.mode, tol=self.tol)
+        return NovikovSeries._from_indices(
+            self._q, self._idx, [-c for c in self._coeffs], self._cap,
+            self.mode, self.tol)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, float, complex)):
@@ -196,22 +275,32 @@ class NovikovSeries:
     def scale(self, c):
         """Multiply by a scalar of the coefficient field."""
         c = _coerce_coeff(c, self.mode)
-        return NovikovSeries([(e, c * a) for e, a in self.terms],
-                             trunc=self.trunc, mode=self.mode, tol=self.tol)
+        return NovikovSeries._from_indices(
+            self._q, self._idx, [c * a for a in self._coeffs], self._cap,
+            self.mode, self.tol)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float, complex)):
             return self.scale(other)
         tol = self._check(other)
-        trunc = _product_trunc(self, other)
+        q, ia, ta, ib, tb = _common_grid(self, other)
+        cap = _product_cap(ia, ta, ib, tb)
         out: dict = {}
-        for ea, ca in self.terms:
-            for eb, cb in other.terms:
-                e = ea + eb
-                if e >= trunc:
-                    continue
-                out[e] = out.get(e, 0) + ca * cb
-        return NovikovSeries(out.items(), trunc=trunc, mode=self.mode, tol=tol)
+        get = out.get
+        if ib:
+            cb_all = other._coeffs
+            first = ib[0]
+            for xa, ca in zip(ia, self._coeffs):
+                if xa + first >= cap:
+                    break
+                for xb, cb in zip(ib, cb_all):
+                    x = xa + xb
+                    if x >= cap:
+                        break
+                    out[x] = get(x, 0) + ca * cb
+        idx = sorted(out)
+        return NovikovSeries._from_indices(q, idx, [out[x] for x in idx],
+                                           cap, self.mode, tol)
 
     __rmul__ = __mul__
 
@@ -234,10 +323,19 @@ class NovikovSeries:
     def truncate(self, order):
         """Drop exponents >= ``order`` and cap the truncation there."""
         order = as_exponent(order)
-        if order >= self.trunc:
+        if order is INF:
             return self
-        return NovikovSeries(self.terms, trunc=order, mode=self.mode,
-                             tol=self.tol)
+        q = math.lcm(self._q, order.denominator)
+        m = q // self._q
+        cap = order.numerator * (q // order.denominator)
+        if self._cap is not INF and cap >= self._cap * m:
+            return self
+        k = bisect_left(self._idx, -(-cap // m))   # first x with x*m >= cap
+        idx = self._idx[:k]
+        if m > 1:
+            idx = [x * m for x in idx]
+        return NovikovSeries._from_indices(q, idx, self._coeffs[:k], cap,
+                                           self.mode, self.tol)
 
     def inverse(self, trunc=None):
         """Multiplicative inverse as a Laurent-type series.
@@ -247,9 +345,11 @@ class NovikovSeries:
         ideal, and invert that unit by the recurrence
         ``e_x = -sum_s u_s e_{x-s}`` over the exponent support (see
         :func:`_support_recurrence`; cost (output terms) x (terms of
-        ``u``)).  If ``u`` is nonzero and no finite truncation is
-        available (neither on the series nor via ``trunc``), a finite
-        order is required.
+        ``u``)).  ``u`` is the product with ``c^-1 T^-v`` less its
+        constant term, dropped rather than subtracted, so no roundoff
+        of ``c c^-1 - 1`` is left behind.  If ``u`` is nonzero and no
+        finite truncation is available (neither on the series nor via
+        ``trunc``), a finite order is required.
         """
         if self.is_zero:
             raise DivisionByZero("cannot invert the zero series")
@@ -257,7 +357,7 @@ class NovikovSeries:
         lead = NovikovSeries.monomial(
             Fraction(1, 1) / c if self.mode == EXACT else 1.0 / c, -v,
             mode=self.mode, tol=self.tol)
-        u = self * lead - 1  # element of the maximal ideal
+        u = (self * lead)._without_constant()  # element of the maximal ideal
         if trunc is not None:
             result_trunc = as_exponent(trunc)
         elif self.trunc is INF:
@@ -283,10 +383,10 @@ class NovikovSeries:
         exponent support (see :func:`_support_recurrence`; cost (output
         terms) x (terms of ``p``)).
         """
-        if self.valuation() < 0:
+        if not self.in_lambda0():
             raise ValueError("exp requires valuation >= 0")
         a0 = self.reduction()
-        plus = self - NovikovSeries.const(a0, mode=self.mode, tol=self.tol)
+        plus = self._without_constant()
         if a0 == 0:
             factor = None
         elif unit_exp is not None:
@@ -300,7 +400,7 @@ class NovikovSeries:
             result = NovikovSeries.one(mode=self.mode, trunc=self.trunc,
                                        tol=self.tol)
         else:
-            if plus.trunc is INF:
+            if plus._cap is INF:
                 raise ValueError("exp of a non-constant series needs a finite truncation")
             result = _support_recurrence(plus, exp=True)
         if factor is not None:
@@ -313,30 +413,32 @@ class NovikovSeries:
         """Copy of the series with complex-float coefficients."""
         if self.mode == FLOAT:
             return self
-        return NovikovSeries([(e, complex(c)) for e, c in self.terms],
-                             trunc=self.trunc, mode=FLOAT,
-                             tol=self.tol if tol is None else tol)
+        return NovikovSeries._from_indices(
+            self._q, self._idx, [complex(c) for c in self._coeffs], self._cap,
+            FLOAT, self.tol if tol is None else tol)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, float, complex)):
             other = NovikovSeries.const(other, mode=self.mode, tol=self.tol)
         if not isinstance(other, NovikovSeries):
             return NotImplemented
-        return (self.mode == other.mode and self.trunc == other.trunc
-                and self.terms == other.terms)
+        return (self.mode == other.mode and self._q == other._q
+                and self._cap == other._cap and self._idx == other._idx
+                and self._coeffs == other._coeffs)
 
     def __hash__(self):
-        return hash((self.mode, self.trunc, self.terms))
+        return hash((self.mode, self._q, self._cap, tuple(self._idx),
+                     tuple(self._coeffs)))
 
     def approx_eq(self, other, tol=1e-9):
         """Termwise comparison up to ``tol`` on the common truncation."""
         trunc = min(self.trunc, other.trunc)
         diff = (self.truncate(trunc).to_float()
                 - other.truncate(trunc).to_float())
-        return all(abs(c) <= tol for _, c in diff.terms)
+        return all(abs(c) <= tol for c in diff._coeffs)
 
     def __repr__(self):
-        if not self.terms:
+        if not self._idx:
             body = "0"
         else:
             parts = []
@@ -346,7 +448,7 @@ class NovikovSeries:
                 else:
                     parts.append(f"{c}*T^{e}")
             body = " + ".join(parts)
-        if self.trunc is not INF:
+        if self._cap is not INF:
             body += f" (mod T^{self.trunc})"
         return f"<{body}>"
 
@@ -384,29 +486,55 @@ class NovikovSeries:
         return cls(terms, trunc=trunc, mode=mode or EXACT, tol=tol)
 
 
+def _common_grid(a: NovikovSeries, b: NovikovSeries):
+    """``(q, idx_a, cap_a, idx_b, cap_b)``: both series on (1/q)Z, ``q``
+    the lcm of their denominators."""
+    qa, qb = a._q, b._q
+    if qa == qb:
+        return qa, a._idx, a._cap, b._idx, b._cap
+    q = math.lcm(qa, qb)
+    ma, mb = q // qa, q // qb
+    return (q, [x * ma for x in a._idx], a._cap if a._cap is INF else a._cap * ma,
+            [x * mb for x in b._idx], b._cap if b._cap is INF else b._cap * mb)
+
+
+def _product_cap(ia, ta, ib, tb):
+    """Truncation index of a product of series with indices ``ia``, ``ib``
+    and truncation indices ``ta``, ``tb`` on one grid.
+
+    Writing each factor as (known part) + (error of valuation >= trunc),
+    the product error has valuation >= min(a.trunc + v(b), b.trunc + v(a));
+    a factor that is zero to all known orders contributes through its own
+    truncation, and an exactly-zero factor kills the error entirely.
+    """
+    va = ia[0] if ia else ta     # ta is INF for the exact zero
+    vb = ib[0] if ib else tb
+    cap = INF
+    if ta is not INF and vb is not INF:
+        cap = ta + vb
+    if tb is not INF and va is not INF:
+        cap = min(cap, tb + va)
+    return cap
+
+
 def _support_recurrence(u: NovikovSeries, exp: bool) -> NovikovSeries:
     """``exp(u)`` (``exp=True``) or ``1/(1+u)`` modulo ``T^u.trunc``.
 
-    ``u`` has positive valuation and a finite truncation.  With ``q`` the
-    lcm of the denominators of ``u.trunc`` and of the exponents of ``u``,
-    exponent ``e`` becomes the int index ``x = q*e`` below
-    ``cap = q*u.trunc``.  The indices of the result lie in the monoid
-    generated by supp(u); a heap visits them in increasing order, and
+    ``u`` has positive valuation and a finite truncation, so its indices
+    ``s`` on (1/q)Z lie in ``0 < s < cap``.  The indices of the result
+    lie in the monoid generated by them; a heap visits them in
+    increasing order, and
 
         exp:      x e_x = sum_s s u_s e_{x-s}    (from e' = u'e)
         inverse:    e_x = -sum_s u_s e_{x-s}     (from (1+u) e = 1)
 
     so every ``e_{x-s}`` is known when ``e_x`` is formed.  The cost is
-    (output terms) x (terms of ``u``) on int keys, independent of
-    ``cap``.  Exact mode yields the same rationals as summing powers;
-    float mode prunes below ``tol`` once, at the end.
+    (output terms) x (terms of ``u``), independent of ``cap``.  Exact
+    mode yields the same rationals as summing powers; float mode prunes
+    below ``tol`` once, at the end.
     """
-    q = math.lcm(u.trunc.denominator, *(e.denominator for e, _ in u.terms))
-    cap = int(u.trunc * q)
-    gens = []
-    for e, c in u.terms:
-        s = int(e * q)
-        gens.append((s, s * c if exp else -c))
+    cap = u._cap
+    gens = [(s, s * c if exp else -c) for s, c in zip(u._idx, u._coeffs)]
     coeffs = {0: Fraction(1) if u.mode == EXACT else 1 + 0j}
     heap = [s for s, _ in gens if s < cap]
     seen = set(heap)
@@ -427,34 +555,10 @@ def _support_recurrence(u: NovikovSeries, exp: bool) -> NovikovSeries:
             if y not in seen:
                 seen.add(y)
                 heapq.heappush(heap, y)
-    return NovikovSeries([(Fraction(x, q), c) for x, c in coeffs.items()],
-                         trunc=u.trunc, mode=u.mode, tol=u.tol)
-
-
-def _product_trunc(a: NovikovSeries, b: NovikovSeries):
-    """Truncation order of a product.
-
-    Writing each factor as (known part) + (error of valuation >= trunc),
-    the product error has valuation >= min(a.trunc + v(b), b.trunc + v(a));
-    a factor that is zero to all known orders contributes through its own
-    truncation, and an exactly-zero factor kills the error entirely.
-    """
-
-    def effective_valuation(x):
-        if not x.is_zero:
-            return x.valuation()
-        return x.trunc  # INF for the exact zero
-
-    candidates = []
-    if a.trunc is not INF:
-        vb = effective_valuation(b)
-        if vb is not INF:
-            candidates.append(a.trunc + vb)
-    if b.trunc is not INF:
-        va = effective_valuation(a)
-        if va is not INF:
-            candidates.append(b.trunc + va)
-    return min(candidates) if candidates else INF
+    # the heap pops in increasing order, so the keys are sorted
+    return NovikovSeries._from_indices(u._q, list(coeffs),
+                                       list(coeffs.values()), cap, u.mode,
+                                       u.tol)
 
 
 def parse_series(text: str, mode=EXACT, trunc=INF, tol=DEFAULT_TOL) -> NovikovSeries:

@@ -232,6 +232,13 @@ def fano_bulk_potential(P: MomentPolytope, u, bulk: BulkDeformation,
     Valid for the Fano examples: each facet term of the leading potential
     is multiplied by the exponential of that facet's divisor weight.
     """
+    return _fano_bulk_terms(P, u, bulk, trunc, tol)[0]
+
+
+def _fano_bulk_terms(P: MomentPolytope, u, bulk: BulkDeformation, trunc,
+                     tol):
+    """``fano_bulk_potential`` and the factors exp(b_i) it multiplied in,
+    one per facet."""
     if P.fano is False:
         raise OutOfScope(
             f"{P.name or 'polytope'} is not marked Fano; the closed product "
@@ -240,12 +247,13 @@ def fano_bulk_potential(P: MomentPolytope, u, bulk: BulkDeformation,
     ell = P.ell_values(u)
     if any(v <= 0 for v in ell):
         raise NotInterior(f"{u} is not an interior point")
-    terms = []
+    terms, factors = [], []
     for i, (e, f) in enumerate(zip(ell, P.facets)):
         coeff = NovikovSeries.monomial(1, e, mode=bulk.mode, trunc=trunc,
                                        tol=tol)
-        terms.append((coeff * bulk.exp_factor(i, trunc=trunc), f.v))
-    return PotentialFunction(P.n, terms)
+        factors.append(bulk.exp_factor(i, trunc=trunc))
+        terms.append((coeff * factors[-1], f.v))
+    return PotentialFunction(P.n, terms), factors
 
 
 def with_gapped_tail(base: PotentialFunction, P: MomentPolytope, u,
@@ -290,10 +298,9 @@ def euler_check(P: MomentPolytope, bulk: BulkDeformation, u, N,
     work_trunc = (N if trunc is None else as_exponent(trunc))
     if work_trunc is not INF:
         work_trunc = work_trunc + 1  # headroom for the mod-T^N comparison
-    F = fano_bulk_potential(P, u, bulk, trunc=work_trunc, tol=bulk.tol)
+    F, weights = _fano_bulk_terms(P, u, bulk, work_trunc, bulk.tol)
     euler_terms = []
-    for i, f in enumerate(P.facets):
-        w_i = bulk.exp_factor(i, trunc=work_trunc)
+    for i, (f, w_i) in enumerate(zip(P.facets, weights)):
         # derivative in the weight variable: divide the facet term by the
         # weight, inverting through the exponential of the negated entry
         # (the geometric-series inverse amplifies roundoff badly)

@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricpot import EXACT, FLOAT, INF, NovikovSeries, parse_series
@@ -48,6 +48,11 @@ class TestConstruction:
     def test_float_prune(self):
         s = S((0, 1e-15), (1, 1.0), mode=FLOAT)
         assert s.terms == ((Fraction(1), 1.0 + 0j),)
+
+    def test_exact_zero_float_coefficient_dropped_for_any_tol(self):
+        s = NovikovSeries([(0, 1.0), (1, 0.0)], mode=FLOAT, tol=0.0)
+        assert s.terms == ((Fraction(0), 1 + 0j),)
+        assert (s - s).is_zero
 
     def test_immutable(self):
         s = NovikovSeries.one()
@@ -149,6 +154,20 @@ class TestInversion:
         t = NovikovSeries.monomial(2, Fraction(1, 2))
         assert t.inverse() == NovikovSeries.monomial(Fraction(1, 2),
                                                      Fraction(-1, 2))
+
+    def test_float_constant_inverse_without_pruning(self):
+        # c * (1/c) - 1 leaves 4e-17 here, which no tolerance this small
+        # prunes; the constant term of the unit part is dropped exactly
+        c = NovikovSeries.const(0.25 + 0.75j, mode=FLOAT, tol=1e-300)
+        inv = c.inverse()
+        assert len(inv.terms) == 1
+        assert inv.valuation() == 0
+        assert abs(inv.coefficient(0) - (0.4 - 1.2j)) < 1e-15
+
+    def test_float_one_inverse_with_zero_tolerance(self):
+        one = NovikovSeries.one(mode=FLOAT, tol=0.0)
+        assert one.inverse() == one
+        assert one.inverse().coefficient(0) == 1
 
 
 class TestExp:
@@ -295,3 +314,197 @@ class TestDenseMul:
                 slow = slow + b.scale(c) * NovikovSeries.monomial(
                     1, e, mode=FLOAT)
             assert fast.approx_eq(slow, tol=1e-9)
+
+
+# -- reference: Fraction-keyed dict arithmetic ------------------------------
+#
+# A series as ({exponent: coefficient}, trunc) with Fraction exponents,
+# the representation NovikovSeries used before int exponent indices.
+# Products accumulate in the same order (both factors by increasing
+# exponent), so float results must agree bit for bit as well.
+
+def ref(s):
+    return dict(s.terms), s.trunc
+
+
+def ref_clean(d, trunc, tol=0.0):
+    return {e: c for e, c in d.items()
+            if e < trunc and c != 0 and not abs(c) < tol}, trunc
+
+
+def ref_add(a, b, tol=0.0):
+    (da, ta), (db, tb) = a, b
+    out = dict(da)
+    for e, c in db.items():
+        out[e] = out[e] + c if e in out else c
+    return ref_clean(out, min(ta, tb), tol)
+
+
+def ref_neg(a):
+    return {e: -c for e, c in a[0].items()}, a[1]
+
+
+def ref_mul(a, b, tol=0.0):
+    (da, ta), (db, tb) = a, b
+    va = min(da) if da else ta
+    vb = min(db) if db else tb
+    trunc = min([t + v for t, v in ((ta, vb), (tb, va))
+                 if t is not INF and v is not INF], default=INF)
+    out = {}
+    for ea in sorted(da):
+        for eb in sorted(db):
+            if ea + eb < trunc:
+                out[ea + eb] = out.get(ea + eb, 0) + da[ea] * db[eb]
+    return ref_clean(out, trunc, tol)
+
+
+def ref_truncate(a, order):
+    return ref_clean(a[0], min(a[1], order))
+
+
+def ref_exp(p):
+    """exp(p), p of positive valuation known mod T^trunc: sum of p^k/k!."""
+    acc = power = ({Fraction(0): Fraction(1)}, p[1])
+    k = 0
+    while power[0]:
+        k += 1
+        power = ref_truncate(ref_mul(power, p), p[1])
+        power = ({e: c / k for e, c in power[0].items()}, power[1])
+        acc = ref_add(acc, power)
+    return acc
+
+
+def ref_inverse(a):
+    """1/a for a = c T^v (1 + u) known mod T^trunc: T^-v/c times the
+    geometric series of -u, known mod T^(trunc - 2v)."""
+    d, trunc = a
+    v = min(d)
+    c = d[v]
+    minus_u = ({e - v: -x / c for e, x in d.items() if e != v}, trunc - v)
+    acc = power = ({Fraction(0): Fraction(1)}, trunc - v)
+    while power[0]:
+        power = ref_truncate(ref_mul(power, minus_u), trunc - v)
+        acc = ref_add(acc, power)
+    return ref_clean({e - v: x / c for e, x in acc[0].items()}, trunc - 2 * v)
+
+
+def same(s, r):
+    """``s`` holds exactly the reference series ``r``."""
+    return s.terms == tuple(sorted(r[0].items())) and s.trunc == r[1]
+
+
+# exponents and truncations on mixed denominators up to 12; a truncation
+# whose denominator no term has is drawn as often as one that matches
+_mixed_exps = st.fractions(min_value=-3, max_value=5, max_denominator=12)
+_mixed_truncs = st.one_of(st.just(INF), st.fractions(
+    min_value=-2, max_value=6, max_denominator=12))
+_mixed = st.builds(
+    lambda ts, t: NovikovSeries(ts, trunc=t),
+    st.lists(st.tuples(_mixed_exps, _coeffs), max_size=5), _mixed_truncs)
+_mixed_float = st.builds(
+    lambda ts, t: NovikovSeries(ts, trunc=t, mode=FLOAT),
+    st.lists(st.tuples(_mixed_exps, st.complex_numbers(
+        max_magnitude=4, allow_nan=False, allow_infinity=False)),
+        max_size=5), _mixed_truncs)
+# positive-valuation part with a finite truncation, for exp
+_mixed_small = st.builds(
+    lambda ts, t: NovikovSeries([(e, c) for e, c in ts if e > 0], trunc=t),
+    st.lists(st.tuples(st.fractions(min_value=Fraction(1, 4), max_value=3,
+                                    max_denominator=12), _coeffs),
+             max_size=4),
+    st.fractions(min_value=Fraction(1, 12), max_value=2, max_denominator=12))
+# nonzero, known mod T^(v + t) past its valuation v, for inverse
+_invertible = st.builds(
+    lambda v, c, tail, t: NovikovSeries(
+        [(v, c)] + [(v + d, x) for d, x in tail], trunc=v + t),
+    _mixed_exps, _coeffs.filter(bool),
+    st.lists(st.tuples(st.fractions(min_value=Fraction(1, 4), max_value=3,
+                                    max_denominator=12), _coeffs),
+             max_size=4),
+    st.fractions(min_value=Fraction(1, 12), max_value=3, max_denominator=12))
+_zero_with_trunc = NovikovSeries.zero(trunc=Fraction(5, 7))
+_odd_trunc = NovikovSeries([(Fraction(1, 2), 3), (Fraction(-1, 3), 1)],
+                           trunc=Fraction(9, 5))
+
+
+class TestAgainstFractionReference:
+    @settings(max_examples=100, deadline=None)
+    @given(_mixed, _mixed)
+    @example(_zero_with_trunc, _odd_trunc)
+    @example(_odd_trunc, _zero_with_trunc)
+    @example(_zero_with_trunc, NovikovSeries.zero())
+    def test_sum_difference_product(self, a, b):
+        assert same(a + b, ref_add(ref(a), ref(b)))
+        assert same(a - b, ref_add(ref(a), ref_neg(ref(b))))
+        assert same(a * b, ref_mul(ref(a), ref(b)))
+        assert same(-a, ref_neg(ref(a)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mixed_float, _mixed_float)
+    def test_float_sum_and_product_bit_for_bit(self, a, b):
+        assert same(a + b, ref_add(ref(a), ref(b), tol=a.tol))
+        assert same(a * b, ref_mul(ref(a), ref(b), tol=a.tol))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mixed, _mixed_exps)
+    @example(_odd_trunc, Fraction(1, 7))
+    @example(_zero_with_trunc, Fraction(1, 3))
+    def test_truncate(self, a, order):
+        assert same(a.truncate(order), ref_truncate(ref(a), order))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mixed_small)
+    @example(NovikovSeries([(Fraction(1, 3), 2)], trunc=Fraction(7, 4)))
+    @example(NovikovSeries.zero(trunc=Fraction(3, 5)))
+    def test_exp(self, p):
+        assert same(p.exp(), ref_exp(ref(p)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_invertible)
+    @example(_odd_trunc)
+    def test_inverse(self, a):
+        assert same(a.inverse(), ref_inverse(ref(a)))
+
+
+def _by_other_paths(a):
+    """Series equal to ``a`` built without its constructor call."""
+    t = a.trunc
+    x = NovikovSeries([(Fraction(1, 5), 2), (Fraction(-2, 3), 1)])
+    yield (a + x) - x
+    yield -(-a)
+    yield a * NovikovSeries.one()
+    yield a.scale(2).scale(Fraction(1, 2))
+    yield 1 - (1 - a)                                   # __rsub__
+    yield NovikovSeries.from_records(a.to_records(), mode=EXACT, trunc=t)
+    wider = NovikovSeries(a.terms + ((t + 1, 5),) if t is not INF else a.terms,
+                          trunc=INF if t is INF else t + 2)
+    yield wider.truncate(t)
+    yield NovikovSeries(reversed(a.terms), trunc=t)
+
+
+class TestCanonicalStorage:
+    @settings(max_examples=100, deadline=None)
+    @given(_mixed)
+    @example(_zero_with_trunc)
+    @example(_odd_trunc)
+    def test_equal_series_are_equal_and_hash_equal(self, a):
+        for b in _by_other_paths(a):
+            assert b == a
+            assert hash(b) == hash(a)
+            assert b.terms == a.terms and b.trunc == a.trunc
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mixed, _mixed)
+    def test_denominator_is_least(self, a, b):
+        for s in (a, a + b, a * b, a.truncate(Fraction(7, 3))):
+            dens = [e.denominator for e, _ in s.terms]
+            if s.trunc is not INF:
+                dens.append(s.trunc.denominator)
+            assert s._q == math.lcm(*dens)
+
+    def test_rsub_with_scalars(self):
+        a = parse_series("2 + T^1/3", trunc=Fraction(3, 2))
+        assert 3 - a == parse_series("1 - T^1/3", trunc=Fraction(3, 2))
+        assert hash(3 - a) == hash(-(a - 3))
+        f = a.to_float()
+        assert (1.5 - f).approx_eq(-(f - 1.5), tol=0)

@@ -2,61 +2,67 @@
 
 Everything here works on plain lists of lists with ``int`` or
 :class:`fractions.Fraction` entries.  Sizes are tiny (dimension <= 4,
-facet counts <= ~12), so simple classical algorithms suffice and stay
-exact.
+facet counts <= ~12), so classical algorithms suffice and stay exact.
+Over the rationals there is one Gauss-Jordan eliminator, :func:`_rref`;
+``rank``, ``det``, ``solve``, ``invert``, ``kernel_vector`` and
+``integer_coordinates`` read their answers off its reduced rows.  Over
+the integers there is the Smith normal form, which ``saturation_basis``
+and ``extend_basis`` use for their unimodular changes of basis.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
-def frac_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def _rref(m, ncols):
+    """Reduce the Fraction rows ``m`` in place over their first ``ncols`` columns.
+
+    Gauss-Jordan with the first nonzero entry as pivot: each pivot row is
+    divided by its pivot and the pivot column is cleared in every other
+    row; columns from ``ncols`` on are carried along.  Returns
+    ``(pivots, values, swaps)``: the pivot columns in order, the pivot
+    values before division, and the number of row swaps.
+    """
+    pivots, values, swaps = [], [], 0
+    nrows = len(m)
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            swaps += 1
+        pv = m[r][col]
+        row = m[r] = [x / pv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], row)]
+        pivots.append(col)
+        values.append(pv)
+        r += 1
+    return pivots, values, swaps
 
 
 def rank(rows) -> int:
     """Rank over the rationals."""
-    m = frac_rows(rows)
-    r = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][col]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
+    m = [[Fraction(x) for x in row] for row in rows]
+    return len(_rref(m, len(m[0]) if m else 0)[0])
 
 
 def det(matrix):
     """Exact determinant of a square rational matrix."""
-    m = frac_rows(matrix)
-    n = len(m)
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        pv = m[col][col]
-        result *= pv
-        for i in range(col + 1, n):
-            if m[i][col] != 0:
-                f = m[i][col] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return sign * result
+    n = len(matrix)
+    pivots, values, swaps = _rref([[Fraction(x) for x in row]
+                                   for row in matrix], n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return math.prod(values, start=Fraction(-1) ** swaps)
 
 
 def solve(matrix, rhs):
@@ -64,18 +70,9 @@ def solve(matrix, rhs):
     n = len(matrix)
     m = [[Fraction(x) for x in row] + [Fraction(b)]
          for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return [m[i][n] for i in range(n)]
+    if len(_rref(m, n)[0]) < n:
+        return None
+    return [row[n] for row in m]
 
 
 def invert(matrix):
@@ -83,18 +80,27 @@ def invert(matrix):
     n = len(matrix)
     m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    if len(_rref(m, n)[0]) < n:
+        return None
     return [row[n:] for row in m]
+
+
+def kernel_vector(rows, n):
+    """A nonzero rational kernel vector of ``rows`` (``n`` columns) when the
+    kernel is a line, else ``None``.
+
+    The vector is 1 at the one free column of the reduced rows.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = _rref(m, n)[0]
+    if len(pivots) != n - 1:
+        return None
+    free = next(c for c in range(n) if c not in pivots)
+    vec = [Fraction(0)] * n
+    vec[free] = Fraction(1)
+    for row, col in zip(m, pivots):
+        vec[col] = -row[free]
+    return vec
 
 
 def _identity(n):
@@ -185,10 +191,11 @@ def saturation_basis(rows):
     if not rows:
         return []
     n = len(rows[0])
-    r = rank(rows)
+    d, _, v = smith_normal_form(rows)
+    # the nonzero diagonal entries of D lead it and count the rank
+    r = sum(1 for k in range(min(len(d), n)) if d[k][k] != 0)
     if r == 0:
         return []
-    _, _, v = smith_normal_form(rows)
     vinv = invert(v)
     basis = []
     for i in range(r):
@@ -214,37 +221,18 @@ def integer_coordinates(vec, basis_rows):
     if not basis_rows:
         return [] if all(x == 0 for x in vec) else None
     k = len(basis_rows)
-    n = len(vec)
-    # least-structure exact solve of c @ basis = vec via normal equations
-    # is unreliable for rank-deficient data; use augmented elimination.
-    m = [[Fraction(basis_rows[j][i]) for j in range(k)] + [Fraction(vec[i])]
-         for i in range(n)]
-    # Gaussian elimination on the n x (k+1) system
-    pivots = []
-    row = 0
-    for col in range(k):
-        pivot = next((i for i in range(row, n) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for i in range(n):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
-        pivots.append(col)
-        row += 1
-    # consistency
-    for i in range(row, n):
-        if m[i][k] != 0:
-            return None
-    coeffs = [Fraction(0)] * k
-    for r_i, col in enumerate(pivots):
-        coeffs[col] = m[r_i][k]
-    if any(c.denominator != 1 for c in coeffs):
+    # solve c @ basis = vec on the augmented n x (k+1) transposed system
+    m = [[Fraction(b[i]) for b in basis_rows] + [Fraction(x)]
+         for i, x in enumerate(vec)]
+    pivots = _rref(m, k)[0]
+    if any(row[k] != 0 for row in m[len(pivots):]):
         return None
-    return [int(c) for c in coeffs]
+    coeffs = [0] * k
+    for row, col in zip(m, pivots):
+        if row[k].denominator != 1:
+            return None
+        coeffs[col] = int(row[k])
+    return coeffs
 
 
 def extend_basis(prev_rows, target_rows):

@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import lattice
 from .errors import (BadGenerator, BadKahlerParams, DegenerateCritical,
                      MonoidOverflow, NoFullFlag, OutOfScope,
                      SpanViolation)
@@ -87,7 +88,6 @@ def _flag_point_to_torus(fb, values: dict):
     The flag rows form a lattice basis; ``y_i`` is the product of flag
     values raised to the i-th column of the inverse basis matrix.
     """
-    from . import lattice
     n = len(fb.rows[0])
     inv = lattice.invert(fb.rows)
     if inv is None:

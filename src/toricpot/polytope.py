@@ -155,7 +155,7 @@ class MomentPolytope:
             return None
         for subset in itertools.combinations(range(self.m), self.n - 1):
             rows = [normals[i] for i in subset]
-            kernel = _kernel_vector(rows, self.n)
+            kernel = lattice.kernel_vector(rows, self.n)
             if kernel is None:
                 continue
             for d in (kernel, [-x for x in kernel]):
@@ -259,35 +259,6 @@ class MomentPolytope:
 
     def __repr__(self):
         return f"MomentPolytope({self.name or 'unnamed'}, n={self.n}, m={self.m})"
-
-
-def _kernel_vector(rows, n):
-    """A nonzero rational kernel vector of an (n-1)-row system, or None."""
-    if lattice.rank(rows) != n - 1:
-        return None
-    m = lattice.frac_rows(rows)
-    # reduced row echelon
-    pivots = []
-    r = 0
-    for col in range(n):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][col]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-    free = next(c for c in range(n) if c not in pivots)
-    vec = [Fraction(0)] * n
-    vec[free] = Fraction(1)
-    for r_i, col in enumerate(pivots):
-        vec[col] = -m[r_i][free]
-    return vec
 
 
 # -- named example polytopes ----------------------------------------------

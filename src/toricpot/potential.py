@@ -45,12 +45,6 @@ class PotentialFunction:
         self.mode = mode if mode is not None else EXACT
         self.tol = tol
 
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
     def __eq__(self, other):
         return (isinstance(other, PotentialFunction)
                 and self.n == other.n and self.terms == other.terms)
@@ -124,17 +118,6 @@ class PotentialFunction:
     def to_float(self) -> "PotentialFunction":
         return PotentialFunction(
             self.n, [(c.to_float(), e) for c, e in self.terms])
-
-    def __repr__(self):
-        names = [f"y{i+1}" for i in range(self.n)]
-
-        def monome(e):
-            parts = [f"{nm}^{p}" if p != 1 else nm
-                     for nm, p in zip(names, e) if p]
-            return "*".join(parts) or "1"
-
-        body = " + ".join(f"({c!r})*{monome(e)}" for c, e in self.terms)
-        return f"PotentialFunction[{body or '0'}]"
 
 
 @dataclass

@@ -66,12 +66,6 @@ class SolveResult:
     certified: bool
     path: str                     # letters of the ladder stages used
 
-    def __iter__(self):
-        return iter(self.solutions)
-
-    def __len__(self):
-        return len(self.solutions)
-
 
 # -- polynomial plumbing over exponent-tuple dicts -------------------------
 
@@ -439,8 +433,8 @@ def solve_equations(equations: Sequence[dict], labels,
 
     A point is kept when each equation's residual there is at most ``tol``
     times the sum of the moduli of its terms, or ``tol`` when that sum is
-    below 1.  A point at which a term overflows a double is dropped, and
-    the result is then not certified.
+    below 1.  A point that fails this check, or at which a term overflows
+    a double, is dropped, and the result is then not certified.
     """
     original = [dict(t) for t in equations]
     normalized, free_idx = normalize(equations)
@@ -465,10 +459,9 @@ def solve_equations(equations: Sequence[dict], labels,
             finite = all(math.isfinite(e + size) for e, size in errors)
         except OverflowError:
             finite = False
-        if not finite:            # a term beyond the double range
+        if not (finite and all(e / max(1.0, size) <= tol
+                               for e, size in errors)):
             certified = False
-            continue
-        if not all(e / max(1.0, size) <= tol for e, size in errors):
             continue
         residual = max((e for e, _ in errors), default=0.0)
         solutions.append(LeadingSolution(values, free, multiplicity, residual))

@@ -71,6 +71,23 @@ class TestGeometry:
         P = MomentPolytope(1, [((1,), Fraction(1)), ((-1,), Fraction(0))])
         assert not P.validate().valid
 
+    @pytest.mark.parametrize("n, facets, ray", [
+        # a strip-like wedge u1 >= 0, u2 >= 0, u2 >= u1 - 1: opens along u2
+        (2, [((1, 0), 0), ((0, 1), 0), ((-1, 1), -1)], (0, 1)),
+        # a prism over a triangle, open along u3
+        (3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+             ((-1, -1, 0), -1)], (0, 0, 1)),
+    ])
+    def test_validation_finds_recession_ray(self, n, facets, ray):
+        P = MomentPolytope(n, [(v, Fraction(lam)) for v, lam in facets])
+        assert P._recession_ray() == ray
+        report = P.validate()
+        assert not report.valid
+        assert report.failures[0].startswith("unbounded: recession direction")
+
+    def test_bounded_polytope_has_no_recession_ray(self):
+        assert build_example("cpn", 3)._recession_ray() is None
+
 
 class TestZVariables:
     def test_facet_variable_valuation_is_ell(self, twoblow):
@@ -122,6 +139,11 @@ class TestSerialization:
             [(f.v, f.lam) for f in twoblow.facets]
         assert Q.name == twoblow.name
         assert Q.fano == twoblow.fano
+
+    def test_repr(self, twoblow):
+        assert repr(twoblow) == "MomentPolytope(two_point_blowup, n=2, m=5)"
+        P = MomentPolytope(1, [((1,), Fraction(0)), ((-1,), Fraction(-1))])
+        assert repr(P) == "MomentPolytope(unnamed, n=1, m=2)"
 
     def test_dict_shape(self, twoblow):
         d = twoblow.to_dict()

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from toricpot import (EXACT, FLOAT, INF, BulkDeformation, BulkEntry,
-                      NovikovSeries, build_example, euler_check,
+                      NovikovSeries, PotentialFunction, build_example,
+                      euler_check,
                       fano_bulk_potential, leading_potential, parse_series,
                       with_gapped_tail)
 from toricpot.errors import (BadGappedTerm, NonUnitEvaluation, OutOfScope)
@@ -100,6 +101,22 @@ class TestBulkDeformation:
 
 
 class TestCalculus:
+    def test_equality_compares_merged_terms(self):
+        a = NovikovSeries.monomial(1, Fraction(1, 2))
+        F = PotentialFunction(2, [(a, (1, 0)), (NovikovSeries.const(3),
+                                                (0, -1))])
+        # terms are merged and sorted, so order and splitting do not matter
+        assert F == PotentialFunction(2, [(NovikovSeries.const(1), (0, -1)),
+                                          (a, (1, 0)),
+                                          (NovikovSeries.const(2), (0, -1))])
+        assert F != PotentialFunction(2, [(a, (1, 0)),
+                                          (NovikovSeries.const(2), (0, -1))])
+        assert PotentialFunction(2, []) != PotentialFunction(3, [])
+        assert F != F.terms
+        P = build_example("cp1")
+        assert leading_potential(P, (Fraction(1, 3),)) \
+            == leading_potential(P, (Fraction(1, 3),))
+
     def test_gradient_residual_zero_at_critical_point(self):
         P = build_example("cp1")
         F = leading_potential(P, (Fraction(1, 2),), mode=EXACT)

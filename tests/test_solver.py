@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toricpot import (build_example, lattice, leading_equations, solve,
@@ -326,6 +326,13 @@ class TestBinomialStage:
 
     @settings(max_examples=100, deadline=None)
     @given(_binomial_systems(sizes=[3, 4]))
+    # |det| = 1 with roots from 1e-106 to 1e77: the one root fails the
+    # float residual check, so the empty answer must not be certified
+    @example(([[-1, -3, 3, 1], [-1, -3, -3, 0], [-3, -2, -1, -3],
+               [-2, -2, 3, -1]],
+              [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(1)),
+               (Fraction(1), Fraction(2)), (Fraction(6), Fraction(1, 8))],
+              1))
     def test_solve_equations_takes_stage_m(self, case):
         rows, coefficients, det = case
         # no equation in one variable, so stages (a) and (b) do not apply

@@ -16,9 +16,9 @@ from .errors import (BadGappedTerm, BadGenerator, BadKahlerParams,
 from .leading import (Equation, FlagBasis, LeadingSystem, Level,
                       LevelStructure, flag_basis, leading_equations,
                       level_structure)
-from .lifting import (CaseReport, CaseSolution, DiscreteMonoid,
-                      LiftCertificate, case_analysis_two_point, lift_bulk,
-                      lift_point, monoid_enumerate, solution_to_torus)
+from .lifting import (CaseReport, CaseSolution, LiftCertificate,
+                      case_analysis_two_point, lift_bulk, lift_point,
+                      solution_to_torus)
 from .novikov import (DEFAULT_TOL, EXACT, FLOAT, INF, NovikovSeries,
                       parse_series)
 from .polytope import (Facet, MomentPolytope, Monomial, ValidationReport,
@@ -34,19 +34,18 @@ __version__ = "0.1.0"
 __all__ = [
     "BadGappedTerm", "BadGenerator", "BadKahlerParams",
     "BasisConstructionFailed", "BulkDeformation", "BulkEntry", "CaseReport",
-    "CaseSolution", "DEFAULT_TOL", "DegenerateCritical", "DiscreteMonoid",
-    "DivisionByZero", "EXACT", "Equation", "FLOAT", "Facet", "FiberReport",
-    "FlagBasis", "HessianData", "INF", "LeadingSolution", "LeadingSystem",
-    "Level", "LevelStructure", "LiftCertificate", "ModeMismatch",
-    "MomentPolytope", "Monomial", "MonoidOverflow", "NeedsTranscendental",
-    "NoFullFlag", "NonUnitEvaluation", "NotInLambda0P", "NotInLattice",
-    "NotInterior", "NovikovSeries", "OutOfScope", "PotentialFunction",
-    "SolveResult", "SpanViolation", "ToricPotError", "ValidationReport",
-    "Vertex", "ZExpression", "balanced_locus", "build_example",
+    "CaseSolution", "DEFAULT_TOL", "DegenerateCritical", "DivisionByZero",
+    "EXACT", "Equation", "FLOAT", "Facet", "FiberReport", "FlagBasis",
+    "HessianData", "INF", "LeadingSolution", "LeadingSystem", "Level",
+    "LevelStructure", "LiftCertificate", "ModeMismatch", "MomentPolytope",
+    "Monomial", "MonoidOverflow", "NeedsTranscendental", "NoFullFlag",
+    "NonUnitEvaluation", "NotInLambda0P", "NotInLattice", "NotInterior",
+    "NovikovSeries", "OutOfScope", "PotentialFunction", "SolveResult",
+    "SpanViolation", "ToricPotError", "ValidationReport", "Vertex",
+    "ZExpression", "balanced_locus", "build_example",
     "case_analysis_two_point", "classify_fiber", "euler_check",
     "fano_bulk_potential", "flag_basis", "leading_equations",
     "leading_potential", "level_structure", "lift_bulk", "lift_point",
-    "monoid_enumerate", "normalize", "parse_series", "report_bounds", "scan",
-    "solution_to_torus", "solve", "solve_equations", "solve_partial",
-    "with_gapped_tail",
+    "normalize", "parse_series", "report_bounds", "scan", "solution_to_torus",
+    "solve", "solve_equations", "solve_partial", "with_gapped_tail",
 ]

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-from .errors import NoFullFlag
 from .leading import (_assemble_system, flag_basis, level_partition,
                       level_structure)
 from .lifting import _lift_bulk

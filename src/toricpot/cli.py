@@ -585,9 +585,6 @@ def _cmd_repro(args):
 
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--trunc", default=None,
-                        help="truncation order for series output")
-    common.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
     common.add_argument("--tol", type=float, default=1e-9)
     common.add_argument("--json", action="store_true",
                         help="emit a canonical JSON report")
@@ -612,6 +609,9 @@ def _build_parser():
     p.add_argument("--polytope", required=True)
     p.add_argument("--u", required=True)
     p.add_argument("--bulk", default=None)
+    p.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
+    p.add_argument("--trunc", default=None,
+                   help="truncation order for series output")
     p.set_defaults(func=_cmd_potential)
 
     p = sub.add_parser("leading", parents=[common])

@@ -215,8 +215,11 @@ def _normalize_sign(vec):
 def integer_coordinates(vec, basis_rows):
     """Express ``vec`` as an integer combination of ``basis_rows``.
 
-    Returns the coefficient list, or ``None`` when no integer (or even
-    rational) solution exists.
+    The rows must be linearly independent, so that the rational
+    combination is unique.  Returns the coefficient list, or ``None``
+    when that combination does not exist or is not integral.  For
+    dependent rows ``None`` may be returned although an integer
+    combination exists: every free coefficient is set to 0.
     """
     if not basis_rows:
         return [] if all(x == 0 for x in vec) else None

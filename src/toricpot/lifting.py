@@ -9,22 +9,25 @@ Two inductions:
   leading solution into a critical point with Novikov-series
   coordinates, Newton style.
 
-Newton lifting runs on one engine, ``_NewtonGrid``: every exponent is a
-multiple of 1/q, so a series of valuation >= 0 truncated at ``T^N`` is a
-complex vector of length ``cap = qN``.  A grid with ``cap`` above
+Both run on the exponent grid: every exponent is a multiple of 1/q, so
+an order is an int index ``j`` standing for ``j/q``, and a series of
+valuation >= 0 truncated at ``T^N`` is a complex vector of length
+``cap = qN``.  The bulk lift keeps the monoid of admissible weight
+orders as a bool vector on that grid, closed under each new generator
+by ``_monoid_close``; its grid is bounded by ``cap <= 10**6``.  Newton
+lifting runs on ``_NewtonGrid``; a grid with ``cap`` above
 ``MAX_LIFT_CAP`` raises :class:`MonoidOverflow` before anything is
 allocated.
 
-Plus the discrete-monoid bookkeeping for the exponents encountered, and
-the closed-form parameter study of the two-point blow-up with a
+Plus the closed-form parameter study of the two-point blow-up with a
 one-divisor weight ``w T^kappa``.
 """
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -37,39 +40,12 @@ from .errors import (BadGenerator, BadKahlerParams, DegenerateCritical,
 from .leading import flag_basis, level_structure
 from .novikov import DEFAULT_TOL, FLOAT, INF, NovikovSeries, as_exponent
 from .polytope import MomentPolytope, build_example
-from .potential import (BulkDeformation, BulkEntry, PotentialFunction,
-                        fano_bulk_potential, leading_potential)
-from .solver import LeadingSolution, cluster_roots, solve_equations
+from .potential import (BulkDeformation, PotentialFunction,
+                        fano_bulk_potential)
+from .solver import LeadingSolution, cluster_roots
 
 LIFT_TOL = 1e-9
-
-
-def monoid_enumerate(gens, E):
-    """All sums of the generators up to ``E``, ascending, including 0."""
-    gens = sorted({Fraction(g) for g in gens})
-    for g in gens:
-        if g <= 0:
-            raise BadGenerator(f"generator {g} is not positive")
-    E = Fraction(E)
-    out = []
-    seen = {Fraction(0)}
-    heap = [Fraction(0)]
-    while heap:
-        x = heapq.heappop(heap)
-        out.append(x)
-        for g in gens:
-            y = x + g
-            if y <= E and y not in seen:
-                seen.add(y)
-                heapq.heappush(heap, y)
-    return out
-
-
-@dataclass
-class DiscreteMonoid:
-    """Lazily grown set of admissible exponents."""
-    generators: set = field(default_factory=set)
-    grown: list = field(default_factory=list)  # generators added on demand
+MAX_BULK_STEPS = 500    # weight corrections a bulk lift makes at most
 
 
 @dataclass
@@ -82,26 +58,26 @@ class LiftCertificate:
     congruences_checked: bool
 
 
+def _monomial(y, v):
+    """The value ``y^v`` of a Laurent monomial at the complex point ``y``."""
+    acc = 1.0 + 0j
+    for c, p in zip(y, v):
+        acc *= c ** p
+    return acc
+
+
 def _flag_point_to_torus(fb, values: dict):
     """Original-coordinate values from flag-variable values.
 
     The flag rows form a lattice basis; ``y_i`` is the product of flag
     values raised to the i-th column of the inverse basis matrix.
     """
-    n = len(fb.rows[0])
     inv = lattice.invert(fb.rows)
     if inv is None:
         raise NoFullFlag("flag basis is not full; cannot map to the torus")
-    y = []
+    assert all(e.denominator == 1 for row in inv for e in row)
     ordered = [values[lab] for lab in fb.labels]
-    for i in range(n):
-        acc = 1.0 + 0j
-        for t in range(n):
-            e = inv[i][t]
-            assert e.denominator == 1
-            acc *= ordered[t] ** int(e)
-        y.append(acc)
-    return y
+    return [_monomial(ordered, [int(e) for e in row]) for row in inv]
 
 
 def solution_to_torus(P: MomentPolytope, u, sol: LeadingSolution):
@@ -113,14 +89,14 @@ def solution_to_torus(P: MomentPolytope, u, sol: LeadingSolution):
     return _flag_point_to_torus(fb, sol.values)
 
 
-def lift_bulk(P: MomentPolytope, u, sol, N, gens=(), max_steps=500,
-              tol=LIFT_TOL):
+def lift_bulk(P: MomentPolytope, u, sol, N, gens=(), tol=LIFT_TOL):
     """Divisor weights making a full leading solution critical mod T^N.
 
     At each order the lowest surviving coefficient vector of the
     gradient is cancelled by a least-norm combination of the level
     normal vectors whose levels lie strictly below that order; each
     chosen combination becomes a weight increment on its facet.
+    ``gens`` are extra positive monoid generators.
 
     Returns ``(bulk, y, certificate)`` where ``y`` is the complex torus
     point used.
@@ -130,154 +106,141 @@ def lift_bulk(P: MomentPolytope, u, sol, N, gens=(), max_steps=500,
     if ls.K is None:
         raise NoFullFlag("level flag never spans the whole space")
     fb = flag_basis(ls) if isinstance(sol, LeadingSolution) else None
-    return _lift_bulk(P, u, ls, fb, sol, N, gens, max_steps, tol)
+    return _lift_bulk(P, u, ls, fb, sol, N, gens, tol)
 
 
-def _lift_bulk(P: MomentPolytope, u, ls, fb, sol, N, gens=(), max_steps=500,
-               tol=LIFT_TOL):
+def _monoid_close(reach, g):
+    """Close the bool vector ``reach`` in place under adding the int
+    ``g > 0``: a running OR along each residue class mod ``g``."""
+    L = len(reach)
+    rows = -(-L // g)
+    grid = np.zeros(rows * g, dtype=bool)
+    grid[:L] = reach
+    reach[:] = np.logical_or.accumulate(grid.reshape(rows, g)).ravel()[:L]
+
+
+def _lift_bulk(P: MomentPolytope, u, ls, fb, sol, N, gens=(), tol=LIFT_TOL):
     """``lift_bulk`` from the fiber's full level structure ``ls`` and its
     flag basis ``fb``, which is read only when ``sol`` is a
-    ``LeadingSolution``."""
+    ``LeadingSolution``.
+
+    Every order is an int index ``j`` on (1/q)Z below ``cap = qN``, where
+    ``q`` is the lcm of the denominators of ``N``, of the facet values
+    and of ``gens``.
+    """
     N = as_exponent(N)
+    gens = [Fraction(g) for g in gens]
+    for g in gens:
+        if g <= 0:
+            raise BadGenerator(f"generator {g} is not positive")
     if isinstance(sol, LeadingSolution):
         y = _flag_point_to_torus(fb, sol.values)
     else:
         y = [complex(c) for c in sol]
-    yseries = [NovikovSeries.const(c, mode=FLOAT) for c in y]
-
-    # facets usable for corrections, with their levels
-    columns = []
-    for l in range(1, ls.K + 1):
-        lev = ls.level(l)
-        for i, v in lev.members:
-            yv = 1.0 + 0j
-            for c, p in zip(y, v):
-                yv *= c ** p
-            columns.append((i, v, lev.S, yv))
-
-    monoid = DiscreteMonoid(set(Fraction(g) for g in gens))
-    # level gaps are always admissible exponents
-    values = sorted({lev.S for lev in ls.levels})
-    for a in values:
-        for b in values:
-            if b > a:
-                monoid.generators.add(b - a)
-
-    pending: dict = {}   # facet -> {grid index: weight coefficient}
-
-    def build_bulk():
-        entries = {}
-        for i, d in pending.items():
-            idx = sorted(d)
-            entries[i] = NovikovSeries._from_indices(
-                q, idx, [d[x] for x in idx], INF, FLOAT, tol * 1e-3)
-        return BulkDeformation(entries, mode=FLOAT, tol=tol * 1e-3)
-
-    steps = []
-    congruent = True
-    prev_orders: dict = {}
-    # dense representation on the common exponent grid: index j stands
-    # for the order j/q, covering everything strictly below N
-    q = N.denominator
-    for f in P.facets:
-        q = q * f.ell(u).denominator // math.gcd(q, f.ell(u).denominator)
-    for g in monoid.generators:
-        g = Fraction(g)
-        q = q * g.denominator // math.gcd(q, g.denominator)
-    cap = int(math.ceil(N * q))
+    ell = [f.ell(u) for f in P.facets]
+    q = math.lcm(N.denominator, *(x.denominator for x in ell),
+                 *(g.denominator for g in gens))
+    cap = int(N * q)
     if cap > 1_000_000:
         raise MonoidOverflow(
             f"exponent grid of size {cap} exceeds the supported range")
-    # per-facet gradient contribution T^{ell_i} exp(b_i) y^{v_i}, updated
-    # multiplicatively so the exponential never needs recomputing
-    contrib = []
-    for i, f in enumerate(P.facets):
-        yv = 1.0 + 0j
-        for c, p in zip(y, f.v):
-            yv *= c ** p
-        arr = np.zeros(cap, dtype=complex)
-        idx = f.ell(u) * q
-        if idx < cap:
-            arr[int(idx)] = yv
-        contrib.append(arr)
+    at = [int(x * q) for x in ell]
+    yv = [_monomial(y, f.v) for f in P.facets]
     normals = np.array([[complex(p) for p in f.v] for f in P.facets])
 
-    # incremental monoid membership on the same grid (unbounded sums)
-    reach = [False] * (cap + 1)
+    # facets usable for corrections, level by level, so the columns with
+    # level below an order form a prefix
+    cols = [i for l in range(1, ls.K + 1) for i, _ in ls.level(l).members]
+    col_at = [at[i] for i in cols]
+    col_normals = normals[cols].T
+
+    # generator indices: the user's and the level gaps; reach[j] says
+    # whether j/q is a sum of them
+    monoid = {int(g * q) for g in gens}
+    levels = {int(lev.S * q) for lev in ls.levels}
+    monoid |= {b - a for a in levels for b in levels if b > a}
+    grown = []
+    reach = np.zeros(cap + 1, dtype=bool)
     reach[0] = True
+    for g in monoid:
+        if g <= cap:
+            _monoid_close(reach, g)
 
-    def reach_add(gi):
-        for j in range(gi, cap + 1):
-            if reach[j - gi]:
-                reach[j] = True
+    def admit(j):
+        if not reach[j]:
+            monoid.add(j)
+            grown.append(j)
+            _monoid_close(reach, j)
 
-    for g in sorted(monoid.generators):
-        gi = Fraction(g) * q
-        if gi.denominator == 1 and 0 < gi <= cap:
-            reach_add(int(gi))
-
-    def admit(x, xi):
-        if xi <= cap and not reach[xi]:
-            monoid.generators.add(x)
-            monoid.grown.append(x)
-            reach_add(xi)
-
-    for _ in range(max_steps):
+    # per-facet gradient contribution T^{ell_i} exp(b_i) y^{v_i}, updated
+    # multiplicatively so the exponential never needs recomputing
+    contrib = np.zeros((P.m, cap), dtype=complex)
+    for i in range(P.m):
+        if at[i] < cap:
+            contrib[i, at[i]] = yv[i]
+    pending: dict = {}   # facet -> {weight index: weight coefficient}
+    prev: dict = {}      # facet -> index of its last weight increment
+    steps = []
+    congruent = True
+    for _ in range(MAX_BULK_STEPS):
         # gradient residual vector, one dense series per torus direction
-        stack = np.array(contrib)
-        residuals = normals.T @ stack
-        live = np.nonzero(np.abs(residuals).max(axis=0) > tol)[0]
-        if len(live) == 0:
-            return build_bulk(), y, LiftCertificate(
-                N, INF, steps, sorted(monoid.generators),
-                list(monoid.grown), congruent)
-        idx = int(live[0])
-        k = Fraction(idx, q)
-        E_vec = residuals[:, idx]
-        usable = [(i, v, S, yv) for i, v, S, yv in columns if S < k]
-        if not usable:
-            raise SpanViolation(
-                f"gradient term at order {k} precedes every usable level")
+        residuals = normals.T @ contrib
+        live = np.flatnonzero(np.abs(residuals).max(axis=0) > tol)
+        if not live.size:
+            break
+        k = int(live[0])
+        E_vec = residuals[:, k]
+        width = bisect.bisect_left(col_at, k)
+        if not width:
+            raise SpanViolation(f"gradient term at order {Fraction(k, q)} "
+                                "precedes every usable level")
         # the weight increment divides by the monomial value, so each
         # correction changes the gradient coefficient by its bare normal
-        A = np.array([[complex(v[j]) for i, v, S, yv in usable]
-                      for j in range(P.n)], dtype=complex)
+        A = col_normals[:, :width]
         c, *_ = np.linalg.lstsq(A, -E_vec, rcond=None)
         if np.max(np.abs(A @ c + E_vec)) > tol * max(1.0, np.max(np.abs(E_vec))):
             raise SpanViolation(
-                f"gradient coefficient at order {k} is outside the span of "
-                "the available normal vectors")
-        admit(k, idx)
-        for (i, v, S, yv), coeff in zip(usable, c):
+                f"gradient coefficient at order {Fraction(k, q)} is outside "
+                "the span of the available normal vectors")
+        admit(k)
+        for i, s, coeff in zip(cols, col_at, c):
             if abs(coeff) < tol * 1e-3:
                 continue
-            d_idx = idx - int(S * q)
-            admit(k - S, d_idx)
+            d = k - s
+            admit(d)
             # successive weights must only change at strictly higher order
-            if i in prev_orders and d_idx <= prev_orders[i]:
+            if d <= prev.get(i, 0):
                 congruent = False
-            prev_orders[i] = d_idx
-            a = coeff / yv
+            prev[i] = d
+            a = coeff / yv[i]
             slot = pending.setdefault(i, {})
-            slot[d_idx] = slot.get(d_idx, 0) + a
-            # multiply by exp(a T^{d_idx/q}) on the dense grid; the
+            slot[d] = slot.get(d, 0) + a
+            # multiply by exp(a T^{d/q}) on the dense grid; the
             # exponential is sparse, so apply it as shifted adds
-            base = contrib[i]
-            new = base.copy()
+            base = contrib[i].copy()
             term = 1.0 + 0j
             m = 1
-            while m * d_idx < cap:
+            while m * d < cap:
                 term *= a / m
-                off = m * d_idx
-                new[off:] += term * base[:cap - off]
+                contrib[i, m * d:] += term * base[:cap - m * d]
                 m += 1
-            contrib[i] = new
         steps.append(k)
-    raise MonoidOverflow(
-        f"gradient order failed to reach {N} within {max_steps} corrections")
+    else:
+        raise MonoidOverflow(f"gradient order failed to reach {N} within "
+                             f"{MAX_BULK_STEPS} corrections")
+    entries = {}
+    for i, d in pending.items():
+        idx = sorted(d)
+        entries[i] = NovikovSeries._from_indices(
+            q, idx, [d[j] for j in idx], INF, FLOAT, tol * 1e-3)
+    bulk = BulkDeformation(entries, mode=FLOAT, tol=tol * 1e-3)
+    return bulk, y, LiftCertificate(
+        N, INF, [Fraction(j, q) for j in steps],
+        [Fraction(g, q) for g in sorted(monoid)],
+        [Fraction(g, q) for g in grown], congruent)
 
 
-def lift_point(F: PotentialFunction, y0, N, max_iter=80, tol=LIFT_TOL):
+def lift_point(F: PotentialFunction, y0, N, tol=LIFT_TOL):
     """Newton-correct a leading solution into a critical point mod T^N.
 
     ``y0`` is a vector of nonzero complex numbers solving the system to
@@ -288,7 +251,7 @@ def lift_point(F: PotentialFunction, y0, N, max_iter=80, tol=LIFT_TOL):
     iteration stops only once the gradient vanishes below ``T^N``.
     """
     y0_series = [NovikovSeries.const(complex(c), mode=FLOAT) for c in y0]
-    return _NewtonGrid(F, N, tol=tol).lift(y0_series, max_iter), INF
+    return _NewtonGrid(F, N, tol=tol).lift(y0_series), INF
 
 
 # -- two-point blow-up parameter study -------------------------------------
@@ -411,6 +374,7 @@ def case_analysis_two_point(alpha, w, kappa, N=None, lift=True):
 # and inversion by doubling follow Brent & Kung, J. ACM 25 (1978).
 
 MAX_LIFT_CAP = 10_000   # longest grid a Newton lift allocates
+MAX_NEWTON_ITER = 80    # Newton iterations a point lift makes at most
 
 
 def _first(hit):
@@ -525,7 +489,7 @@ class _NewtonGrid:
             self.shift.append((idx[0], self.C[t, idx[0]])
                               if len(idx) == 1 else None)
 
-    def lift(self, y0, max_iter=80):
+    def lift(self, y0):
         """Newton-correct the start ``y0`` (unit series) into a critical
         point mod ``T^N``; returns its coordinates as float series.
 
@@ -548,7 +512,7 @@ class _NewtonGrid:
         # 1/y, kept in step with y: y exp(delta) has inverse exp(-delta)/y
         yinv = np.array([_inverse(yi, cap) for yi in y])
         prev = None
-        for _ in range(max_iter):
+        for _ in range(MAX_NEWTON_ITER):
             V = self._term_values(y, yinv)
             env = np.maximum.accumulate(
                 np.maximum(np.abs(V).max(axis=0, initial=0), 1.0))
@@ -577,7 +541,7 @@ class _NewtonGrid:
                 y[i] = np.convolve(y[i], e[i])[:cap]
                 yinv[i] = np.convolve(yinv[i], e[self.n + i])[:cap]
         raise MonoidOverflow(f"Newton failed to reach order {self.N} in "
-                             f"{max_iter} iterations")
+                             f"{MAX_NEWTON_ITER} iterations")
 
     def _term_values(self, y, yinv):
         """``V[t] = C[t] y^E[t]`` truncated below ``cap``."""

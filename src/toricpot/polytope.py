@@ -9,13 +9,13 @@ plenty for the intended sizes and keeps every pivot exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import lattice
 from .errors import BadKahlerParams, NotInLambda0P
-from .novikov import EXACT, NovikovSeries
+from .novikov import NovikovSeries
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class ZExpression:
 
 class MomentPolytope:
     def __init__(self, n: int, facets: Sequence, name: str = "",
-                 fano: Optional[bool] = None, monoid_gens: Sequence = ()):
+                 fano: Optional[bool] = None):
         self.n = n
         self.facets = []
         for v, lam in facets:
@@ -67,7 +67,6 @@ class MomentPolytope:
             self.facets.append(Facet(v, Fraction(lam)))
         self.name = name
         self.fano = fano
-        self.monoid_gens = tuple(Fraction(g) for g in monoid_gens)
         self._vertices = None
 
     @property
@@ -245,8 +244,6 @@ class MomentPolytope:
         }
         if self.fano is not None:
             d["fano"] = self.fano
-        if self.monoid_gens:
-            d["monoid_gens"] = [str(g) for g in self.monoid_gens]
         return d
 
     @classmethod
@@ -254,8 +251,7 @@ class MomentPolytope:
         return cls(d["n"],
                    [(f["v"], Fraction(f["lambda"])) for f in d["facets"]],
                    name=d.get("name", ""),
-                   fano=d.get("fano"),
-                   monoid_gens=[Fraction(g) for g in d.get("monoid_gens", [])])
+                   fano=d.get("fano"))
 
     def __repr__(self):
         return f"MomentPolytope({self.name or 'unnamed'}, n={self.n}, m={self.m})"

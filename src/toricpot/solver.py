@@ -26,13 +26,13 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .lattice import smith_normal_form
-from .leading import Equation, LeadingSystem, leading_equations
+from .leading import LeadingSystem, leading_equations
 
 RESIDUAL_TOL = 1e-9
 DEDUP_TOL = 1e-6

@@ -148,6 +148,19 @@ class TestExitCodes:
             main(["repro", "not-a-scenario"])
         assert err.value.code == 1
 
+    def test_non_positive_generator_exits_1(self, twoblow_file, capsys):
+        assert main(["lift", "bulk", "--polytope", twoblow_file,
+                     "--u", "13/40,3/10", "--solution", "1,-1",
+                     "--order", "2", "--generators", "0,-1/2"]) == 1
+        assert "not positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--mode", "float"], ["--trunc", "7"]])
+    def test_series_flags_belong_to_potential(self, twoblow_file, flag):
+        with pytest.raises(SystemExit) as err:
+            main(["scan", "--polytope", twoblow_file, "--step", "1/10"]
+                 + flag)
+        assert err.value.code == 1
+
 
 class TestRepro:
     @pytest.mark.parametrize("name", [

@@ -1,7 +1,9 @@
 """Order-by-order lifting of leading solutions and Newton point lifts."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +15,11 @@ from toricpot import (FLOAT, INF, BulkDeformation, NovikovSeries,
                       PotentialFunction, build_example,
                       case_analysis_two_point, fano_bulk_potential,
                       leading_equations, leading_potential, lift_bulk,
-                      lift_point, monoid_enumerate, solution_to_torus, solve)
-from toricpot.errors import (BadKahlerParams, DegenerateCritical,
-                             MonoidOverflow, OutOfScope)
-from toricpot.lifting import LIFT_TOL, _exp, _inverse, _power
+                      lift_point, solution_to_torus, solve)
+from toricpot.errors import (BadGenerator, BadKahlerParams,
+                             DegenerateCritical, MonoidOverflow, OutOfScope)
+from toricpot.lifting import (LIFT_TOL, _exp, _inverse, _monoid_close,
+                              _power)
 
 
 @pytest.fixture(scope="module")
@@ -24,15 +27,80 @@ def twoblow():
     return build_example("two_point_blowup", Fraction(2, 5), Fraction(3, 10))
 
 
-class TestMonoid:
-    def test_enumerate_sorted_and_closed(self):
-        vals = monoid_enumerate([Fraction(1, 2), Fraction(1, 3)], Fraction(2))
-        assert vals == sorted(vals)
-        assert Fraction(5, 6) in vals       # 1/2 + 1/3
-        assert all(v <= 2 for v in vals)
+class TestMonoidClosure:
+    @given(st.lists(st.integers(1, 12), max_size=4), st.integers(0, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_brute_force_sums(self, gens, cap):
+        sums, frontier = {0}, {0}
+        while frontier:
+            frontier = {x + g for x in frontier for g in gens
+                        if x + g <= cap} - sums
+            sums |= frontier
+        reach = np.zeros(cap + 1, dtype=bool)
+        reach[0] = True
+        for g in gens:
+            _monoid_close(reach, g)
+        assert set(np.flatnonzero(reach).tolist()) == sums
 
-    def test_enumerate_includes_zero(self):
-        assert monoid_enumerate([Fraction(1)], Fraction(3))[0] == 0
+
+def _bulk_record(P, u, sol, N, gens):
+    """The certificate and weights of one bulk lift, as JSON data."""
+    bulk, y, cert = lift_bulk(P, u, sol, N, gens)
+    return {
+        "steps": [str(s) for s in cert.steps],
+        "monoid_generators": [str(g) for g in cert.monoid_generators],
+        "monoid_grown": [str(g) for g in cert.monoid_grown],
+        "residual_valuation": str(cert.residual_valuation),
+        "congruences_checked": cert.congruences_checked,
+        "y": [[c.real, c.imag] for c in y],
+        "bulk": {str(i): [[str(e), c.real, c.imag] for e, c in b.plus.terms]
+                 for i, b in sorted(bulk.items())},
+    }
+
+
+def _pinned_cases():
+    """``(key, P, u, sol, N, gens)`` of every pinned bulk lift."""
+    P = build_example("two_point_blowup", Fraction(2, 5), Fraction(3, 10))
+    u = (Fraction(13, 40), Fraction(3, 10))
+    for gens in [(), (Fraction(1, 7),), (Fraction(1, 2), Fraction(1, 3))]:
+        for N in (Fraction(2), Fraction(5, 2)):
+            key = f"2/5,3/10 at 13/40,3/10 N={N} gens="
+            yield key + ",".join(map(str, gens)), P, u, [1, -1], N, gens
+    # here the lift grows the monoid by 4/15
+    P = build_example("two_point_blowup", Fraction(13, 15), Fraction(1, 15))
+    u = (Fraction(4, 15), Fraction(1, 15))
+    witness, = solve(leading_equations(P, u)).solutions
+    yield "13/15,1/15 at 4/15,1/15 N=3 gens=", P, u, witness, Fraction(3), ()
+
+
+PINNED = Path(__file__).parent / "data" / "lift_bulk_pinned.json"
+
+
+class TestPinnedBulkLifts:
+    """Bulk lifts against the records in ``data/lift_bulk_pinned.json``.
+
+    The certificate fields and the exponents must match exactly; ``y``
+    and the weight coefficients to within roundoff.  Regenerate, when a
+    change of the lift is intended, with ``PYTHONPATH=src python
+    tests/test_lifting.py``.
+    """
+
+    @pytest.mark.parametrize("case", list(_pinned_cases()),
+                             ids=lambda c: c[0])
+    def test_matches_record(self, case):
+        key, *args = case
+        want = json.loads(PINNED.read_text())[key]
+        got = _bulk_record(*args)
+        for field in ("steps", "monoid_generators", "monoid_grown",
+                      "residual_valuation", "congruences_checked"):
+            assert got[field] == want[field]
+        close = dict(rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(got["y"], want["y"], **close)
+        assert got["bulk"].keys() == want["bulk"].keys()
+        for i, terms in want["bulk"].items():
+            assert [e for e, *_ in got["bulk"][i]] == [e for e, *_ in terms]
+            np.testing.assert_allclose([c for _, *c in got["bulk"][i]],
+                                       [c for _, *c in terms], **close)
 
 
 class TestBulkLift:
@@ -57,6 +125,12 @@ class TestBulkLift:
         bulk, y, cert = lift_bulk(twoblow, u, witness, Fraction(2))
         assert cert.residual_valuation is INF or \
             cert.residual_valuation >= Fraction(2)
+
+    @pytest.mark.parametrize("g", [0, Fraction(-1, 2)])
+    def test_generators_must_be_positive(self, twoblow, g):
+        u = (Fraction(13, 40), Fraction(3, 10))
+        with pytest.raises(BadGenerator, match="not positive"):
+            lift_bulk(twoblow, u, [1, -1], Fraction(2), gens=(g,))
 
     def test_weights_lie_in_lambda_plus(self, twoblow):
         u = (Fraction(13, 40), Fraction(3, 10))
@@ -673,3 +747,9 @@ class TestGridPrimitives:
         _assert_vector_matches(got[0], q, (a + c0).exp())
         _assert_vector_matches(np.convolve(got[0], got[1])[:cap], q,
                                NovikovSeries.one(mode=FLOAT))
+
+
+if __name__ == "__main__":
+    PINNED.write_text(json.dumps(
+        {key: _bulk_record(*args) for key, *args in _pinned_cases()},
+        indent=1) + "\n")

@@ -8,6 +8,7 @@ displacement energy from below after the 2*pi unit conversion.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -138,6 +139,11 @@ def scan(P: MomentPolytope, step, row: Optional[dict] = None,
     partition of the facets (``level_partition``), so only the first
     fiber of each partition is classified; later fibers copy its report
     and take their own threshold S_{l0+1}(u).
+
+    The grid is walked in ints: with ``D`` the lcm of the denominators of
+    the step, the pinned values and the offsets lambda_i, the interior
+    test and the partition read the ints ``ell_i(u) * D``, and only a
+    copied fiber's threshold is built as ``Fraction(ell, D)``.
     """
     step = Fraction(step)
     if step <= 0:
@@ -146,30 +152,29 @@ def scan(P: MomentPolytope, step, row: Optional[dict] = None,
     for axis in fixed:
         if not 0 <= axis < P.n:
             raise ValueError("row constraint names a missing coordinate")
+    D = math.lcm(step.denominator, *(v.denominator for v in fixed.values()),
+                 *(f.lam.denominator for f in P.facets))
     verts = P.vertices()
-    los = [min(v.point[i] for v in verts) for i in range(P.n)]
-    his = [max(v.point[i] for v in verts) for i in range(P.n)]
-
-    def axis_values(i):
+    axes = []  # per coordinate, its grid values u_i paired with u_i * D
+    for i in range(P.n):
         if i in fixed:
-            return [fixed[i]]
-        k0 = int(math.floor(los[i] / step)) + 1
-        out = []
-        k = k0
-        while k * step < his[i]:
-            out.append(k * step)
-            k += 1
-        return out
+            vals = [fixed[i]]
+        else:
+            lo = min(v.point[i] for v in verts)
+            hi = max(v.point[i] for v in verts)
+            vals = [k * step for k in range(math.floor(lo / step) + 1,
+                                            math.ceil(hi / step))]
+        axes.append([(x, x.numerator * (D // x.denominator)) for x in vals])
+    facets = [(f.v, f.lam.numerator * (D // f.lam.denominator))
+              for f in P.facets]
 
     reports = []
-    grid = [()]
-    for i in range(P.n):
-        vals = axis_values(i)
-        grid = [g + (v,) for g in grid for v in vals]
     kinds = {}  # ordered level partition -> report of its first fiber
-    for point in grid:
-        ell = P.ell_values(point)
-        if any(v <= 0 for v in ell):
+    for coords in itertools.product(*axes):
+        point, scaled = zip(*coords)
+        ell = [sum(a * x for a, x in zip(v, scaled)) - lam
+               for v, lam in facets]
+        if any(e <= 0 for e in ell):
             continue
         key = level_partition(ell)
         kind = kinds.get(key)
@@ -181,7 +186,8 @@ def scan(P: MomentPolytope, step, row: Optional[dict] = None,
             l0 = kind.partial_level  # key[l0] holds the facets of S_{l0+1}
             reports.append(replace(
                 kind, u=point, witnesses=list(kind.witnesses),
-                threshold_bound=INF if kind.balanced else ell[key[l0][0]]))
+                threshold_bound=(INF if kind.balanced
+                                 else Fraction(ell[key[l0][0]], D))))
     return reports
 
 

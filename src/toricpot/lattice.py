@@ -1,13 +1,12 @@
 """Exact integer and rational linear algebra for small lattices.
 
-Everything here works on plain lists of lists with ``int`` or
-:class:`fractions.Fraction` entries.  Sizes are tiny (dimension <= 4,
-facet counts <= ~12), so classical algorithms suffice and stay exact.
-Over the rationals there is one Gauss-Jordan eliminator, :func:`_rref`;
+Everything here takes lists of lists with ``int`` or ``Fraction``
+entries; sizes are tiny (dimension <= 4, facet counts <= ~12).  There is
+one Gauss-Jordan eliminator, :func:`_rref`, fraction-free over Z:
 ``rank``, ``det``, ``solve``, ``invert``, ``kernel_vector`` and
-``integer_coordinates`` read their answers off its reduced rows.  Over
-the integers there is the Smith normal form, which ``saturation_basis``
-and ``extend_basis`` use for their unimodular changes of basis.
+``integer_coordinates`` scale rational rows to ints on entry and build
+``Fraction``s only for their answers.  ``saturation_basis`` and
+``extend_basis`` change basis by the Smith normal form over Z.
 """
 
 from __future__ import annotations
@@ -16,73 +15,90 @@ import math
 from fractions import Fraction
 
 
-def _rref(m, ncols):
-    """Reduce the Fraction rows ``m`` in place over their first ``ncols`` columns.
+def _int_row(row):
+    """``(ints, s)``: the rational ``row`` times ``s``, the lcm of its
+    denominators."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
+    row = [Fraction(x) for x in row]
+    s = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (s // x.denominator) for x in row], s
 
-    Gauss-Jordan with the first nonzero entry as pivot: each pivot row is
-    divided by its pivot and the pivot column is cleared in every other
-    row; columns from ``ncols`` on are carried along.  Returns
-    ``(pivots, values, swaps)``: the pivot columns in order, the pivot
-    values before division, and the number of row swaps.
+
+def _rref(m, ncols):
+    """Reduce the int rows ``m`` in place over their first ``ncols`` columns.
+
+    Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 1968) on the first
+    nonzero entry ``p`` of each column: every other row becomes
+    ``(p * row - row[col] * pivot_row) / d``, an exact division by the
+    previous pivot ``d``; columns from ``ncols`` on are carried along.
+    Every pivot entry ends equal to the last pivot, so the reduced row
+    echelon form is ``m / d``.  Returns ``(pivots, d, swaps)``: the pivot
+    columns, that last pivot (1 if none) and the number of row swaps.
     """
-    pivots, values, swaps = [], [], 0
+    pivots, d, swaps = [], 1, 0
     nrows = len(m)
-    r = 0
     for col in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
-        pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
+        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
         if pivot is None:
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
             swaps += 1
-        pv = m[r][col]
-        row = m[r] = [x / pv for x in m[r]]
+        row = m[r]
+        p = row[col]
         for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], row)]
+            f = m[i][col]
+            if i != r and (f or p != d):
+                m[i] = [(p * a - f * b) // d for a, b in zip(m[i], row)]
         pivots.append(col)
-        values.append(pv)
-        r += 1
-    return pivots, values, swaps
+        d = p
+    return pivots, d, swaps
 
 
 def rank(rows) -> int:
     """Rank over the rationals."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    m = [_int_row(row)[0] for row in rows]
     return len(_rref(m, len(m[0]) if m else 0)[0])
 
 
 def det(matrix):
     """Exact determinant of a square rational matrix."""
-    n = len(matrix)
-    pivots, values, swaps = _rref([[Fraction(x) for x in row]
-                                   for row in matrix], n)
-    if len(pivots) < n:
+    rows = [_int_row(row) for row in matrix]
+    pivots, d, swaps = _rref([ints for ints, _ in rows], len(rows))
+    if len(pivots) < len(rows):
         return Fraction(0)
-    return math.prod(values, start=Fraction(-1) ** swaps)
+    return Fraction((-1) ** swaps * d, math.prod(s for _, s in rows))
 
 
 def solve(matrix, rhs):
     """Solve a square rational system exactly; ``None`` when singular."""
     n = len(matrix)
-    m = [[Fraction(x) for x in row] + [Fraction(b)]
-         for row, b in zip(matrix, rhs)]
-    if len(_rref(m, n)[0]) < n:
-        return None
-    return [row[n] for row in m]
+    m = [_int_row(list(row) + [b])[0] for row, b in zip(matrix, rhs)]
+    pivots, d, _ = _rref(m, n)
+    return None if len(pivots) < n else [Fraction(row[n], d) for row in m]
+
+
+def _inverse(matrix):
+    """``(m, d)`` with int rows ``m`` and ``m / d`` the inverse of a square
+    rational matrix; ``None`` when it is singular."""
+    n = len(matrix)
+    # row operations take [S A | S], for the row scaling S, to [d I | d A^-1]
+    m = [_int_row(list(row) + [int(i == j) for j in range(n)])[0]
+         for i, row in enumerate(matrix)]
+    pivots, d, _ = _rref(m, n)
+    return None if len(pivots) < n else ([row[n:] for row in m], d)
 
 
 def invert(matrix):
     """Exact inverse of a square rational matrix; ``None`` when singular."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    if len(_rref(m, n)[0]) < n:
+    inv = _inverse(matrix)
+    if inv is None:
         return None
-    return [row[n:] for row in m]
+    return [[Fraction(x, inv[1]) for x in row] for row in inv[0]]
 
 
 def kernel_vector(rows, n):
@@ -91,20 +107,16 @@ def kernel_vector(rows, n):
 
     The vector is 1 at the one free column of the reduced rows.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = _rref(m, n)[0]
+    m = [_int_row(row)[0] for row in rows]
+    pivots, d, _ = _rref(m, n)
     if len(pivots) != n - 1:
         return None
     free = next(c for c in range(n) if c not in pivots)
     vec = [Fraction(0)] * n
     vec[free] = Fraction(1)
     for row, col in zip(m, pivots):
-        vec[col] = -row[free]
+        vec[col] = Fraction(-row[free], d)
     return vec
-
-
-def _identity(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(matrix):
@@ -117,8 +129,8 @@ def smith_normal_form(matrix):
     a = [[int(x) for x in row] for row in matrix]
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = _identity(rows)
-    v = _identity(cols)
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -142,17 +154,14 @@ def smith_normal_form(matrix):
 
     t = 0
     while t < min(rows, cols):
-        # find a nonzero pivot
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0:
-                    if pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]]):
-                        pivot = (i, j)
-        if pivot is None:
+        # pivot on the smallest nonzero entry, the first in row-major order
+        sizes = [(abs(a[i][j]), i, j) for i in range(t, rows)
+                 for j in range(t, cols) if a[i][j]]
+        if not sizes:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        _, i, j = min(sizes)
+        swap_rows(t, i)
+        swap_cols(t, j)
         while True:
             done = True
             # clear column
@@ -171,8 +180,7 @@ def smith_normal_form(matrix):
                     if a[t][j] != 0:
                         swap_cols(t, j)
                         done = False
-            if done and all(a[i][t] == 0 for i in range(t + 1, rows)) \
-                    and all(a[t][j] == 0 for j in range(t + 1, cols)):
+            if done:  # no remainder was left: row and column are clear
                 break
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
@@ -194,15 +202,8 @@ def saturation_basis(rows):
     d, _, v = smith_normal_form(rows)
     # the nonzero diagonal entries of D lead it and count the rank
     r = sum(1 for k in range(min(len(d), n)) if d[k][k] != 0)
-    if r == 0:
-        return []
-    vinv = invert(v)
-    basis = []
-    for i in range(r):
-        vec = [int(x) for x in vinv[i][:n]]
-        assert all(Fraction(x) == y for x, y in zip(vec, vinv[i]))
-        basis.append(_normalize_sign(vec))
-    return basis
+    vinv, unit = _inverse(v)  # v is unimodular: unit = det(v) = +-1
+    return [_normalize_sign([x * unit for x in vinv[i]]) for i in range(r)]
 
 
 def _normalize_sign(vec):
@@ -225,16 +226,17 @@ def integer_coordinates(vec, basis_rows):
         return [] if all(x == 0 for x in vec) else None
     k = len(basis_rows)
     # solve c @ basis = vec on the augmented n x (k+1) transposed system
-    m = [[Fraction(b[i]) for b in basis_rows] + [Fraction(x)]
+    m = [_int_row([b[i] for b in basis_rows] + [x])[0]
          for i, x in enumerate(vec)]
-    pivots = _rref(m, k)[0]
-    if any(row[k] != 0 for row in m[len(pivots):]):
+    pivots, d, _ = _rref(m, k)
+    if any(row[k] for row in m[len(pivots):]):
         return None
     coeffs = [0] * k
     for row, col in zip(m, pivots):
-        if row[k].denominator != 1:
+        c, rest = divmod(row[k], d)
+        if rest:
             return None
-        coeffs[col] = int(row[k])
+        coeffs[col] = c
     return coeffs
 
 
@@ -251,14 +253,11 @@ def extend_basis(prev_rows, target_rows):
         return None
     k = len(target_rows)
     _, _, v = smith_normal_form(coords)
-    vinv = invert(v)
-    extension = []
-    for i in range(len(prev_rows), k):
-        coeff = [int(x) for x in vinv[i]]
-        vec = [sum(c * target_rows[j][t] for j, c in enumerate(coeff))
-               for t in range(len(target_rows[0]))]
-        extension.append(_normalize_sign(vec))
-    return extension
+    vinv, unit = _inverse(v)  # v is unimodular: unit = det(v) = +-1
+    # rows len(prev_rows).. of V^-1 combine the target rows into new ones
+    return [_normalize_sign([unit * sum(c * x for c, x in zip(vinv[i], col))
+                             for col in zip(*target_rows)])
+            for i in range(len(prev_rows), k)]
 
 
 def reduce_against(vec, reducers, search=3):

@@ -147,11 +147,6 @@ class MomentPolytope:
     def _recession_ray(self):
         """A nonzero direction staying inside all halfspaces, if one exists."""
         normals = [f.v for f in self.facets]
-        if self.n == 1:
-            for d in ([Fraction(1)], [Fraction(-1)]):
-                if all(sum(a * b for a, b in zip(v, d)) >= 0 for v in normals):
-                    return tuple(d)
-            return None
         for subset in itertools.combinations(range(self.m), self.n - 1):
             rows = [normals[i] for i in subset]
             kernel = lattice.kernel_vector(rows, self.n)

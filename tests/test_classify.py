@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from toricpot import (INF, balanced_locus, build_example, classify,
                       classify_fiber, leading, lifting, report_bounds, scan)
@@ -123,16 +125,18 @@ class TestScan:
 
 
 def _interior_grid(P, step, row=None):
-    """Interior points of the step grid, in scan order, built directly."""
+    """Interior points of the step grid, in scan order, built directly;
+    a pinned coordinate takes its value, on the step grid or not."""
     verts = [vx.point for vx in P.vertices()]
+    pinned = {i - 1: Fraction(v) for i, v in (row or {}).items()}
     axes = []
     for i in range(P.n):
         lo = min(p[i] for p in verts)
         hi = max(p[i] for p in verts)
-        axes.append(range(math.floor(lo / step) + 1, math.ceil(hi / step)))
-    points = (tuple(k * step for k in ks) for ks in itertools.product(*axes))
-    return [u for u in points if P.is_interior(u)
-            and all(u[i - 1] == v for i, v in (row or {}).items())]
+        axes.append([pinned[i]] if i in pinned else
+                    [k * step for k in range(math.floor(lo / step) + 1,
+                                             math.ceil(hi / step))])
+    return [u for u in itertools.product(*axes) if P.is_interior(u)]
 
 
 class TestScanByPartition:
@@ -186,6 +190,53 @@ class TestScanByPartition:
         assert len(reports) > len(partitions)
         assert len(calls) == len(partitions)
 
+
+@st.composite
+def _grid_cases(draw):
+    """(example, step, row): a two- or three-point blow-up whose offsets
+    have denominators the step's need not divide, a step 1/d with
+    2 <= d <= 40, and a pinned row through the polytope whose value is
+    often off the step grid."""
+    den = draw(st.integers(3, 13))
+    if draw(st.booleans()):
+        a = draw(st.integers(1, den - 2))
+        b = draw(st.integers(1, den - 1 - a))
+        example = ("two_point_blowup", Fraction(a, den), Fraction(b, den))
+    else:
+        a = draw(st.integers(den // 3 + 1, den - 1))
+        example = ("k_point_blowup", Fraction(a, den),
+                   Fraction(1, draw(st.integers(20, 60))))
+    step = Fraction(1, draw(st.integers(2, 40)))
+    row = None
+    if step < Fraction(1, 10) or draw(st.booleans()):
+        axis = draw(st.sampled_from([1, 2]))
+        values = [vx.point[axis - 1]
+                  for vx in build_example(*example).vertices()]
+        lo, hi = min(values), max(values)
+        value = lo + Fraction(draw(st.integers(1, 10)), 11) * (hi - lo)
+        if draw(st.booleans()):
+            value = round(value / step) * step
+        row = {axis: value}
+    return example, step, row
+
+
+class TestScanIntegerGrid:
+    """``scan`` walks the grid in ints scaled by one common denominator;
+    every fiber must read as ``classify_fiber`` reads it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_grid_cases())
+    @example((("two_point_blowup", Fraction(2, 5), Fraction(3, 10)),
+              Fraction(1, 7), {2: Fraction(3, 10)}))
+    def test_matches_classify_fiber(self, case):
+        example, step, row = case
+        P = build_example(*example)
+        assume(P.validate().valid)
+        points = _interior_grid(P, step, row)
+        reports = scan(P, step, row=row)
+        assert [r.u for r in reports] == points
+        assert [r.to_dict() for r in reports] == [
+            classify_fiber(P, u).to_dict() for u in points]
 
 class TestBounds:
     def test_threshold_units(self):

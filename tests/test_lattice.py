@@ -191,22 +191,30 @@ def _ref_kernel_vector(rows, n):
 
 
 _small_fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+# large entries exercise the exact divisions and the entry growth of the
+# fraction-free eliminator
+_large_integers = st.integers(-10 ** 12, 10 ** 12)
+_fine_fractions = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6),
+                            st.integers(1, 10 ** 6))
 
 
 @st.composite
 def _matrices(draw, rows=None, cols=None, min_rows=1):
     """Integer or Fraction matrices up to 4 x 6; a small entry range and an
     optional row that combines two others make singular and rank-deficient
-    draws common."""
+    draws common.  Entries may reach 10^12, and denominators 10^6."""
     rows = draw(st.integers(min_rows, 4)) if rows is None else rows
     cols = draw(st.integers(1, 6)) if cols is None else cols
     entry = st.integers(-4, 4) | st.integers(-30, 30)
     if draw(st.booleans()):
         entry = entry | _small_fractions
+    if draw(st.booleans()):
+        entry = entry | _large_integers | _fine_fractions
     m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
                       min_size=rows, max_size=rows))
     if rows >= 3 and draw(st.booleans()):
-        a, b = draw(_small_fractions), draw(_small_fractions)
+        scalars = _small_fractions | _fine_fractions
+        a, b = draw(scalars), draw(scalars)
         m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
     return m
 
@@ -220,14 +228,17 @@ def _square_matrices(draw):
 @st.composite
 def _coordinate_problems(draw):
     """(vec, basis_rows): ``vec`` is often an integer or a rational
-    combination of the rows, and otherwise arbitrary."""
+    combination of the rows, and otherwise arbitrary; it may hold
+    ``Fraction``s."""
     basis = draw(_matrices())
     n = len(basis[0])
     how = draw(st.sampled_from(["integer", "rational", "any"]))
     if how == "any":
-        vec = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+        entry = st.integers(-9, 9) | _small_fractions | _fine_fractions
+        vec = draw(st.lists(entry, min_size=n, max_size=n))
     else:
-        scalars = st.integers(-3, 3) if how == "integer" else _small_fractions
+        scalars = (st.integers(-3, 3) | _large_integers if how == "integer"
+                   else _small_fractions | _fine_fractions)
         coeffs = draw(st.lists(scalars, min_size=len(basis),
                                max_size=len(basis)))
         vec = [sum(c * row[t] for c, row in zip(coeffs, basis))

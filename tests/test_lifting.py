@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricpot import (FLOAT, INF, BulkDeformation, NovikovSeries,
-                      PotentialFunction, build_example,
+from toricpot import (FLOAT, INF, BulkDeformation, MomentPolytope,
+                      NovikovSeries, PotentialFunction, build_example,
                       case_analysis_two_point, fano_bulk_potential,
                       leading_equations, leading_potential, lift_bulk,
                       lift_point, solution_to_torus, solve)
@@ -138,6 +138,44 @@ class TestBulkLift:
         for entry in bulk.entries.values():
             assert entry.plus.is_zero or entry.plus.valuation() > 0
 
+
+class TestRepeatedOrder:
+    """A correction that leaves its order live makes that order repeat.
+
+    The span check admits a residual up to ``tol * max(1, |E|)``, while
+    an order stays live above the absolute ``tol``.  On the Hirzebruch
+    surface F_3 the gradient coefficient reaches |E| = 3, so a correction
+    short by 2 tol / |E| of its length passes the one and fails the
+    other; the order repeats, and a facet's weight increment no longer
+    comes at a strictly higher order than its last one.
+    """
+
+    def test_repeated_order_clears_congruence_flag(self, monkeypatch):
+        P = MomentPolytope(2, [((1, 0), 0), ((0, 1), 0), ((0, -1), -1),
+                               ((-1, -3), -4)], name="F3")
+        u = (Fraction(5, 4), Fraction(1, 2))
+        witness = solve(leading_equations(P, u)).solutions[0]
+        _, _, cert = lift_bulk(P, u, witness, Fraction(2))
+        assert cert.congruences_checked
+        assert len(set(cert.steps)) == len(cert.steps)
+
+        lstsq = np.linalg.lstsq
+        shortened = []
+
+        def short(A, b, rcond=None):
+            c, *rest = lstsq(A, b, rcond=rcond)
+            size = np.max(np.abs(b))
+            if size > 2 and not shortened:
+                shortened.append(size)
+                c = c * (1 - 2 * LIFT_TOL / size)
+            return (c, *rest)
+
+        monkeypatch.setattr(np.linalg, "lstsq", short)
+        _, _, cert = lift_bulk(P, u, witness, Fraction(2))
+        assert shortened
+        assert len(set(cert.steps)) == len(cert.steps) - 1
+        assert not cert.congruences_checked
+        assert cert.residual_valuation is INF
 
 class TestPointLift:
     def test_cp1_constant_critical_points(self):

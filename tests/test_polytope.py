@@ -72,6 +72,9 @@ class TestGeometry:
         assert not P.validate().valid
 
     @pytest.mark.parametrize("n, facets, ray", [
+        # half-lines u1 >= 0 and u1 <= 1 open along +u1 and -u1
+        (1, [((1,), 0)], (1,)),
+        (1, [((-1,), -1)], (-1,)),
         # a strip-like wedge u1 >= 0, u2 >= 0, u2 >= u1 - 1: opens along u2
         (2, [((1, 0), 0), ((0, 1), 0), ((-1, 1), -1)], (0, 1)),
         # a prism over a triangle, open along u3
@@ -87,6 +90,7 @@ class TestGeometry:
 
     def test_bounded_polytope_has_no_recession_ray(self):
         assert build_example("cpn", 3)._recession_ray() is None
+        assert build_example("cp1")._recession_ray() is None
 
 
 class TestZVariables:

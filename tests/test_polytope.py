@@ -72,14 +72,14 @@ class TestGeometry:
         assert not P.validate().valid
 
     @pytest.mark.parametrize("n, facets, ray", [
-        # half-lines u1 >= 0 and u1 <= 1 open along +u1 and -u1
-        (1, [((1,), 0)], (1,)),
-        (1, [((-1,), -1)], (-1,)),
         # a strip-like wedge u1 >= 0, u2 >= 0, u2 >= u1 - 1: opens along u2
         (2, [((1, 0), 0), ((0, 1), 0), ((-1, 1), -1)], (0, 1)),
         # a prism over a triangle, open along u3
         (3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
              ((-1, -1, 0), -1)], (0, 0, 1)),
+        # half-lines u1 >= 0 and u1 <= 1 open along +u1 and -u1
+        (1, [((1,), 0)], (1,)),
+        (1, [((-1,), -1)], (-1,)),
     ])
     def test_validation_finds_recession_ray(self, n, facets, ray):
         P = MomentPolytope(n, [(v, Fraction(lam)) for v, lam in facets])

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-from .leading import (_assemble_system, flag_basis, level_partition,
-                      level_structure)
+from .errors import OutOfScope
+from .leading import (_assemble_system, _level_structure, flag_basis,
+                      level_partition, level_structure)
 from .lifting import _lift_bulk
 from .novikov import INF
 from .polytope import MomentPolytope
@@ -73,7 +74,12 @@ def classify_fiber(P: MomentPolytope, u, coefficients=None,
     the first obstructed level's order becomes the threshold bound.
     """
     u = tuple(Fraction(x) for x in u)
-    ls = level_structure(P, u)
+    return _classify(P, u, level_structure(P, u), coefficients, lift_order,
+                     tol)
+
+
+def _classify(P, u, ls, coefficients, lift_order, tol) -> FiberReport:
+    """``classify_fiber`` on the level structure ``ls`` of ``u``."""
     fb = flag_basis(ls)
     bound = 2 ** P.n
     if ls.K is None:
@@ -135,15 +141,16 @@ def scan(P: MomentPolytope, step, row: Optional[dict] = None,
     ``row`` pins coordinates to fixed values, e.g. ``{2: Fraction(3,10)}``
     scans only the points whose second coordinate is 3/10.
 
-    The leading systems at ``u`` depend only on the ordered level
-    partition of the facets (``level_partition``), so only the first
-    fiber of each partition is classified; later fibers copy its report
-    and take their own threshold S_{l0+1}(u).
+    The leading systems at ``u`` depend only on levels 1..K of the
+    ordered level partition of the facets (``level_partition``), where K
+    is the first level whose normals span Q^n.  So there is one
+    classification per K-prefix: later fibers with the same prefix copy
+    its report and take their own threshold S_{l0+1}(u), l0 < K.
 
     The grid is walked in ints: with ``D`` the lcm of the denominators of
     the step, the pinned values and the offsets lambda_i, the interior
-    test and the partition read the ints ``ell_i(u) * D``, and only a
-    copied fiber's threshold is built as ``Fraction(ell, D)``.
+    test, the partition and each classified level structure read the
+    ints ``ell_i(u) * D``.  An unbounded polytope raises ``OutOfScope``.
     """
     step = Fraction(step)
     if step <= 0:
@@ -152,6 +159,10 @@ def scan(P: MomentPolytope, step, row: Optional[dict] = None,
     for axis in fixed:
         if not 0 <= axis < P.n:
             raise ValueError("row constraint names a missing coordinate")
+    ray = P._recession_ray()
+    if ray is not None:
+        raise OutOfScope("cannot scan an unbounded polytope: recession "
+                         f"direction ({', '.join(map(str, ray))})")
     D = math.lcm(step.denominator, *(v.denominator for v in fixed.values()),
                  *(f.lam.denominator for f in P.facets))
     verts = P.vertices()
@@ -169,7 +180,8 @@ def scan(P: MomentPolytope, step, row: Optional[dict] = None,
               for f in P.facets]
 
     reports = []
-    kinds = {}  # ordered level partition -> report of its first fiber
+    prefixes = {}  # ordered level partition -> its K-prefix
+    kinds = {}  # K-prefix -> report of its first fiber
     for coords in itertools.product(*axes):
         point, scaled = zip(*coords)
         ell = [sum(a * x for a, x in zip(v, scaled)) - lam
@@ -177,17 +189,21 @@ def scan(P: MomentPolytope, step, row: Optional[dict] = None,
         if any(e <= 0 for e in ell):
             continue
         key = level_partition(ell)
-        kind = kinds.get(key)
-        if kind is None:
-            kind = kinds[key] = classify_fiber(
-                P, point, coefficients=coefficients, tol=tol)
-            reports.append(kind)
-        else:
-            l0 = kind.partial_level  # key[l0] holds the facets of S_{l0+1}
-            reports.append(replace(
-                kind, u=point, witnesses=list(kind.witnesses),
-                threshold_bound=(INF if kind.balanced
-                                 else Fraction(ell[key[l0][0]], D))))
+        prefix = prefixes.get(key)
+        if prefix is None:
+            ls = _level_structure(P, point, ell, key, D)
+            prefix = prefixes[key] = ls.k_prefix
+            if prefix not in kinds:
+                kinds[prefix] = _classify(P, point, ls, coefficients, None,
+                                          tol)
+                reports.append(kinds[prefix])
+                continue
+        kind = kinds[prefix]
+        l0 = kind.partial_level  # key[l0] holds the facets of S_{l0+1}
+        reports.append(replace(
+            kind, u=point, witnesses=list(kind.witnesses),
+            threshold_bound=(INF if kind.balanced
+                             else Fraction(ell[key[l0][0]], D))))
     return reports
 
 
@@ -204,20 +220,13 @@ def report_bounds(fr: FiberReport) -> dict:
     """
     threshold = fr.threshold_bound
     if threshold is INF:
-        area = "inf"
-        physical = "inf"
+        area = physical = "inf"
         physical_value = math.inf
     else:
         area = str(threshold)
         physical = f"2*pi*{threshold}"
         physical_value = 2 * math.pi * float(threshold)
-    out = {
-        "status": fr.status,
-        "intersection_bound": fr.intersection_bound,
-        "threshold": {"area_over_2pi": area, "physical": physical,
-                      "physical_value": physical_value},
-        "displacement_energy_lower_bound": {
-            "area_over_2pi": area, "physical": physical,
-            "physical_value": physical_value},
-    }
-    return out
+    bound = {"area_over_2pi": area, "physical": physical,
+             "physical_value": physical_value}
+    return {"status": fr.status, "intersection_bound": fr.intersection_bound,
+            "threshold": bound, "displacement_energy_lower_bound": dict(bound)}

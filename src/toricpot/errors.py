@@ -70,4 +70,6 @@ class MonoidOverflow(ToricPotError):
 
 
 class OutOfScope(ToricPotError):
-    """Requested a computation outside the supported degree range."""
+    """Requested a computation outside the supported range, such as the
+    closed Fano form on a non-Fano polytope, a Newton lift from negative
+    valuations, or a scan of an unbounded polytope."""

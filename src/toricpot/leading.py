@@ -37,6 +37,13 @@ class LevelStructure:
     def level(self, l: int) -> Level:
         return self.levels[l - 1]
 
+    @property
+    def k_prefix(self) -> tuple:
+        """Facet indices of levels 1..K, all that the leading systems read
+        (every level when K is None)."""
+        return tuple(tuple(i for i, _ in lev.members)
+                     for lev in self.levels[:self.K])
+
 
 def level_partition(ell) -> tuple:
     """Facet indices grouped by equal value of ``ell``, ascending value."""
@@ -51,23 +58,23 @@ def level_structure(P: MomentPolytope, u) -> LevelStructure:
     ell = P.ell_values(u)
     if any(v <= 0 for v in ell):
         raise NotInterior(f"{u} is not an interior point")
-    levels = [Level(ell[part[0]], [(i, P.facets[i].v) for i in part])
-              for part in level_partition(ell)]
-    d = []
-    K = None
-    span_rows = []
-    prev_rank = 0
-    for l, lev in enumerate(levels, start=1):
+    return _level_structure(P, u, ell, level_partition(ell))
+
+
+def _level_structure(P: MomentPolytope, u, ell, parts, D=1) -> LevelStructure:
+    """Levels of the facet values ``ell`` (ints scaled by ``D``, or
+    ``Fraction``s) grouped by their ``level_partition`` ``parts``."""
+    levels = [Level(Fraction(ell[part[0]], D),
+                    [(i, P.facets[i].v) for i in part]) for part in parts]
+    d, span_rows = [], []
+    for lev in levels:  # past K the span is all of Q^n, so d is 0 there
         span_rows.extend(v for _, v in lev.members)
-        r = lattice.rank(span_rows)
-        d.append(r - prev_rank)
-        prev_rank = r
-        if r == P.n and K is None:
-            K = l
-    if K is None:
-        count = P.m
-    else:
-        count = sum(len(levels[l].members) for l in range(K))
+        d.append(lattice.rank(span_rows) - sum(d))
+        if sum(d) == P.n:
+            break
+    K = len(d) if sum(d) == P.n else None
+    d += [0] * (len(levels) - len(d))
+    count = sum(len(lev.members) for lev in levels[:K])
     return LevelStructure(P, u, levels, d, K, count)
 
 
@@ -99,9 +106,7 @@ def flag_basis(ls: LevelStructure) -> FlagBasis:
     labels = []
     rows = []
     seen = []
-    last = ls.K if ls.K is not None else len(ls.levels)
-    for l in range(1, last + 1):
-        lev = ls.level(l)
+    for l, lev in enumerate(ls.levels[:ls.K], start=1):
         seen.extend(v for _, v in lev.members)
         if ls.d[l - 1] == 0:
             continue

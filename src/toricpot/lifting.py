@@ -150,7 +150,7 @@ def _lift_bulk(P: MomentPolytope, u, ls, fb, sol, N, gens=(), tol=LIFT_TOL):
 
     # facets usable for corrections, level by level, so the columns with
     # level below an order form a prefix
-    cols = [i for l in range(1, ls.K + 1) for i, _ in ls.level(l).members]
+    cols = [i for part in ls.k_prefix for i in part]
     col_at = [at[i] for i in cols]
     col_normals = normals[cols].T
 

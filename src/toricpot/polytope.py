@@ -68,6 +68,7 @@ class MomentPolytope:
         self.name = name
         self.fano = fano
         self._vertices = None
+        self._ray = None  # [ray or None] once searched
 
     @property
     def m(self) -> int:
@@ -146,6 +147,11 @@ class MomentPolytope:
 
     def _recession_ray(self):
         """A nonzero direction staying inside all halfspaces, if one exists."""
+        if self._ray is None:
+            self._ray = [self._find_recession_ray()]
+        return self._ray[0]
+
+    def _find_recession_ray(self):
         normals = [f.v for f in self.facets]
         for subset in itertools.combinations(range(self.m), self.n - 1):
             rows = [normals[i] for i in subset]

@@ -8,8 +8,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from toricpot import (INF, balanced_locus, build_example, classify,
-                      classify_fiber, leading, lifting, report_bounds, scan)
+from toricpot import (INF, MomentPolytope, OutOfScope, balanced_locus,
+                      build_example, classify, classify_fiber, lattice,
+                      leading, lifting, report_bounds, scan)
+
+# an unbounded quadrant and an unbounded strip whose normals span one line
+QUADRANT = MomentPolytope(2, [((1, 0), 0), ((0, 1), 0)])
+STRIP = MomentPolytope(2, [((1, 0), 0), ((-1, 0), -1)])
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +83,13 @@ class TestClassifyFiber:
         b = classify_fiber(twoblow, u).to_dict()
         assert a == b
 
+    def test_no_full_flag(self):
+        # levels {u1 = 1/3} and {1 - u1 = 2/3} both span only the u1 axis
+        r = classify_fiber(STRIP, (Fraction(1, 3), Fraction(5)))
+        assert r.status == "NoFullFlag"
+        assert r.partial_level == 0
+        assert r.threshold_bound == Fraction(1, 3)
+
 
 class TestScan:
     def test_cp1_grid(self):
@@ -123,6 +135,13 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(twoblow, Fraction(1, 10), row={5: Fraction(1, 2)})
 
+    @pytest.mark.parametrize("P", [QUADRANT, STRIP], ids=["quadrant", "strip"])
+    def test_unbounded_polytope_raises(self, P):
+        assert P._recession_ray() == (0, 1)
+        with pytest.raises(OutOfScope) as raised:
+            scan(P, Fraction(1, 10))
+        assert str(raised.value).endswith("recession direction (0, 1)")
+
 
 def _interior_grid(P, step, row=None):
     """Interior points of the step grid, in scan order, built directly;
@@ -140,7 +159,8 @@ def _interior_grid(P, step, row=None):
 
 
 class TestScanByPartition:
-    """``scan`` classifies one fiber per ordered level partition."""
+    """``scan`` classifies one fiber per K-prefix of the ordered level
+    partition and copies its report to the fibers that share it."""
 
     CASES = [
         (("two_point_blowup", Fraction(2, 5), Fraction(3, 10)),
@@ -169,7 +189,7 @@ class TestScanByPartition:
             classify_fiber(P, u, coefficients=coefficients).to_dict()
             for u in points]
 
-    def test_flag_basis_once_per_partition(self, twoblow, monkeypatch):
+    def test_flag_basis_once_per_k_prefix(self, twoblow, monkeypatch):
         calls = []
         original = leading.flag_basis
 
@@ -179,16 +199,76 @@ class TestScanByPartition:
 
         for module in (leading, classify):
             monkeypatch.setattr(module, "flag_basis", counting, raising=False)
-        row = {2: Fraction(3, 10)}
-        reports = scan(twoblow, Fraction(1, 80), row=row)
-        partitions = set()
-        for r in reports:
-            ell = twoblow.ell_values(r.u)
-            partitions.add(tuple(
-                tuple(i for i, e in enumerate(ell) if e == S)
-                for S in sorted(set(ell))))
-        assert len(reports) > len(partitions)
-        assert len(calls) == len(partitions)
+        reports = scan(twoblow, Fraction(1, 20))
+        partitions = {_partition(twoblow, r.u) for r in reports}
+        prefixes = {_k_prefix(twoblow, p) for p in partitions}
+        assert len(reports) > len(partitions) > len(prefixes)
+        assert len(calls) == len(prefixes)
+
+
+def _partition(P, u):
+    """The ordered level partition of ``u``, from its ``Fraction`` values."""
+    ell = P.ell_values(u)
+    return tuple(tuple(i for i, e in enumerate(ell) if e == S)
+                 for S in sorted(set(ell)))
+
+
+def _k_prefix(P, partition):
+    """The levels of ``partition`` up to the first whose normals, with
+    those below it, span Q^n."""
+    for K in range(1, len(partition) + 1):
+        normals = [P.facets[i].v for part in partition[:K] for i in part]
+        if lattice.rank(normals) == P.n:
+            return partition[:K]
+    return partition
+
+
+_EXAMPLES = [("cpn", 2), ("cpn", 3), ("one_point_blowup_monotone",),
+             ("two_point_blowup", Fraction(2, 5), Fraction(3, 10)),
+             ("two_point_blowup", Fraction(13, 15), Fraction(1, 15)),
+             ("k_point_blowup", Fraction(2, 5), Fraction(1, 50))]
+
+
+@st.composite
+def _interior_points(draw):
+    """(example, points): rational interior points of an example polytope
+    on a few lines of a grid its vertices lie on, so that facet values
+    often tie."""
+    example = draw(st.sampled_from(_EXAMPLES))
+    P = build_example(*example)
+    verts = [vx.point for vx in P.vertices()]
+    q = math.lcm(*(x.denominator for p in verts for x in p))
+    q *= draw(st.integers(2, 4))
+    axes = []
+    for i in range(P.n):
+        lo = min(p[i] for p in verts) * q
+        hi = max(p[i] for p in verts) * q
+        ks = draw(st.sets(st.integers(int(lo) + 1, int(hi) - 1),
+                          min_size=1, max_size=3))
+        axes.append([Fraction(k, q) for k in sorted(ks)])
+    return example, [u for u in itertools.product(*axes) if P.is_interior(u)]
+
+
+class TestClassificationByKPrefix:
+    """A fiber's classification reads only the levels 1..K of its ordered
+    level partition, the K-prefix that ``scan`` memoises on."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_interior_points())
+    # both fibers have the level-1 facets u2 >= 0 and u2 <= 1 - alpha;
+    # level 2 makes the first balanced and the second PartialUpTo
+    @example((("two_point_blowup", Fraction(2, 5), Fraction(3, 10)),
+              [(Fraction(13, 40), Fraction(3, 10)),
+               (Fraction(3, 8), Fraction(3, 10))]))
+    def test_same_k_prefix_same_report(self, case):
+        example, points = case
+        P = build_example(*example)
+        first = {}  # K-prefix -> report of its first fiber
+        for u in points:
+            report = classify_fiber(P, u).to_dict()
+            del report["u"], report["threshold_bound"]
+            prefix = leading.level_structure(P, u).k_prefix
+            assert first.setdefault(prefix, report) == report
 
 
 @st.composite
@@ -237,6 +317,35 @@ class TestScanIntegerGrid:
         assert [r.u for r in reports] == points
         assert [r.to_dict() for r in reports] == [
             classify_fiber(P, u).to_dict() for u in points]
+
+
+class TestIntLevelStructure:
+    """The level structure ``scan`` builds from the ints ``ell_i(u) * D``
+    equals the one built from ``Fraction`` values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_grid_cases())
+    def test_matches_fraction_level_structure(self, case):
+        example, step, row = case
+        P = build_example(*example)
+        assume(P.validate().valid)
+        for u in _interior_grid(P, step, row):
+            D = math.lcm(*(x.denominator for x in u),
+                         *(f.lam.denominator for f in P.facets))
+            ell = [int(e * D) for e in P.ell_values(u)]
+            parts = leading.level_partition(ell)
+            got = leading._level_structure(P, u, ell, parts, D)
+            want = leading.level_structure(P, u)
+            assert [(lev.S, lev.members) for lev in got.levels] == \
+                [(lev.S, lev.members) for lev in want.levels]
+            assert (got.d, got.K, got.num_level_facets) == \
+                (want.d, want.K, want.num_level_facets)
+            ranks = [lattice.rank([P.facets[i].v for part in parts[:l]
+                                   for i in part])
+                     for l in range(len(parts) + 1)]
+            assert got.d == [b - a for a, b in zip(ranks, ranks[1:])]
+            assert parts[:got.K] == _k_prefix(P, parts) == got.k_prefix
+
 
 class TestBounds:
     def test_threshold_units(self):

@@ -18,7 +18,7 @@ from .errors import OutOfScope
 from .leading import (_assemble_system, _level_structure, flag_basis,
                       level_partition, level_structure)
 from .lifting import _lift_bulk
-from .novikov import INF
+from .novikov import INF, as_exponent
 from .polytope import MomentPolytope
 from .solver import solve
 
@@ -139,7 +139,11 @@ def scan(P: MomentPolytope, step, row: Optional[dict] = None,
     """Classify every interior grid point with the given rational step.
 
     ``row`` pins coordinates to fixed values, e.g. ``{2: Fraction(3,10)}``
-    scans only the points whose second coordinate is 3/10.
+    scans only the points whose second coordinate is 3/10.  The step and
+    the pinned values are exact: ``Fraction``, ``int`` or a string such
+    as ``"1/10"``; a float raises ``TypeError``, since its binary value
+    (0.1 is 3602879701896397/2^55) would put the grid off the rational
+    points meant.
 
     The leading systems at ``u`` depend only on levels 1..K of the
     ordered level partition of the facets (``level_partition``), where K
@@ -152,13 +156,15 @@ def scan(P: MomentPolytope, step, row: Optional[dict] = None,
     test, the partition and each classified level structure read the
     ints ``ell_i(u) * D``.  An unbounded polytope raises ``OutOfScope``.
     """
-    step = Fraction(step)
-    if step <= 0:
-        raise ValueError("grid step must be positive")
-    fixed = {int(k) - 1: Fraction(v) for k, v in (row or {}).items()}
-    for axis in fixed:
+    step = as_exponent(step)
+    if step is INF or step <= 0:
+        raise ValueError("grid step must be positive and finite")
+    fixed = {int(k) - 1: as_exponent(v) for k, v in (row or {}).items()}
+    for axis, value in fixed.items():
         if not 0 <= axis < P.n:
             raise ValueError("row constraint names a missing coordinate")
+        if value is INF:
+            raise ValueError("row value must be finite")
     ray = P._recession_ray()
     if ray is not None:
         raise OutOfScope("cannot scan an unbounded polytope: recession "

@@ -17,11 +17,17 @@ Storage.  The exponents and a finite ``trunc`` of a series all lie on
 (1/q)Z for one int ``q``, kept as the least such: a series holds ``q``,
 the increasing int indices ``x_i = q e_i`` with the coefficients as two
 lists, and the int index ``q * trunc`` (``math.inf`` for exact data).
+An exact series holds its coefficients as int numerators ``n_i`` over
+one positive int denominator ``d`` (``a_i = n_i / d``), with the gcd of
+``d`` and all ``n_i`` equal to 1 and ``d = 1`` for the zero series.
 Equal series therefore have equal storage.  Sums, products, truncation,
 valuation tests, ``exp`` and ``inverse`` work on these ints, over the
-lcm of the two ``q`` when two series meet.  The ``Fraction`` exponents
-of ``terms``, ``valuation``, ``leading``, ``coefficient`` and ``trunc``
-are made only where they are read.
+lcm of the two ``q`` (and of the two ``d`` in a sum) when two series
+meet; a product multiplies numerators and reduces once.  The
+``Fraction`` exponents of ``terms``, ``valuation``, ``leading``,
+``coefficient`` and ``trunc``, and the ``Fraction`` coefficients of
+``terms``, ``coefficient``, ``leading``, ``reduction``, ``to_records``
+and ``repr``, are made only where they are read.
 """
 
 from __future__ import annotations
@@ -74,12 +80,16 @@ class NovikovSeries:
 
     Stored as the least denominator ``_q``, the increasing int exponent
     indices ``_idx`` and their nonzero coefficients ``_coeffs`` (lists),
-    and the int truncation index ``_cap`` (``math.inf`` for exact data):
-    term ``i`` is ``_coeffs[i] T^(_idx[i]/_q)`` and ``trunc`` is
-    ``_cap/_q``.  ``terms`` is built from these on first read.
+    the coefficient denominator ``_den`` and the int truncation index
+    ``_cap`` (``math.inf`` for exact data): term ``i`` is
+    ``(_coeffs[i]/_den) T^(_idx[i]/_q)`` and ``trunc`` is ``_cap/_q``.
+    In exact mode ``_coeffs`` are int numerators in lowest terms over
+    the positive int ``_den``; in float mode they are complex and
+    ``_den`` is 1.  ``terms`` is built from these on first read.
     """
 
-    __slots__ = ("_q", "_idx", "_coeffs", "_cap", "mode", "tol", "_terms")
+    __slots__ = ("_q", "_idx", "_coeffs", "_den", "_cap", "mode", "tol",
+                 "_terms")
 
     def __init__(self, terms: Iterable = (), trunc=INF, mode: str = EXACT,
                  tol: float = DEFAULT_TOL):
@@ -101,13 +111,19 @@ class NovikovSeries:
         else:
             q = math.lcm(q, trunc.denominator)
             cap = trunc.numerator * (q // trunc.denominator)
+        coeffs = [merged[e] for e in exps]
+        den = 1
+        if mode == EXACT:
+            den = math.lcm(*[c.denominator for c in coeffs])
+            coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
         self._set(q, [e.numerator * (q // e.denominator) for e in exps],
-                  [merged[e] for e in exps], cap, mode, tol)
+                  coeffs, cap, mode, tol, den)
 
-    def _set(self, q, idx, coeffs, cap, mode, tol):
+    def _set(self, q, idx, coeffs, cap, mode, tol, den=1):
         """Store after dropping zero coefficients (exact zeros, and in
-        float mode those of modulus below ``tol``) and reducing ``q`` to
-        the least denominator."""
+        float mode those of modulus below ``tol``), reducing ``q`` to
+        the least denominator and, in exact mode, the int numerators
+        ``coeffs`` over ``den`` to lowest terms."""
         if mode == EXACT:
             zero = [i for i, c in enumerate(coeffs) if not c]
         else:
@@ -123,23 +139,30 @@ class NovikovSeries:
                 idx = [x // g for x in idx]
                 if cap is not INF:
                     cap //= g
+        if den > 1:
+            g = math.gcd(den, *coeffs)   # den itself when no term is left
+            if g > 1:
+                den //= g
+                coeffs = [c // g for c in coeffs]
         setter = object.__setattr__
         setter(self, "_q", q)
         setter(self, "_idx", idx)
         setter(self, "_coeffs", coeffs)
+        setter(self, "_den", den)
         setter(self, "_cap", cap)
         setter(self, "mode", mode)
         setter(self, "tol", tol)
         setter(self, "_terms", None)
 
     @classmethod
-    def _from_indices(cls, q, idx, coeffs, cap, mode, tol):
-        """The series ``sum_i coeffs[i] T^(idx[i]/q)`` mod ``T^(cap/q)``
-        from increasing int indices below the int ``cap`` (or
-        ``math.inf``); zero coefficients are dropped and ``q`` is
-        reduced as in the constructor."""
+    def _from_indices(cls, q, idx, coeffs, cap, mode, tol, den=1):
+        """The series ``sum_i (coeffs[i]/den) T^(idx[i]/q)`` mod
+        ``T^(cap/q)`` from increasing int indices below the int ``cap``
+        (or ``math.inf``); exact-mode ``coeffs`` are ints over the
+        positive int ``den``.  Zero coefficients are dropped and ``q``
+        and ``den`` are reduced as in the constructor."""
         s = object.__new__(cls)
-        s._set(q, idx, coeffs, cap, mode, tol)
+        s._set(q, idx, coeffs, cap, mode, tol, den)
         return s
 
     def __setattr__(self, *args):
@@ -167,15 +190,19 @@ class NovikovSeries:
 
     @property
     def terms(self):
-        """``((exponent, coefficient), ...)`` with ``Fraction`` exponents,
-        increasing."""
+        """``((exponent, coefficient), ...)`` with ``Fraction`` exponents
+        (and ``Fraction`` coefficients in exact mode), increasing."""
         terms = self._terms
         if terms is None:
             q = self._q
+            coeffs = self._coeffs
+            if self.mode == EXACT:
+                den = self._den
+                coeffs = [Fraction(c, den) for c in coeffs]
             # from a list: a tuple built from an iterator of unknown length
             # is resized, which strands its spare block on a free list
             terms = tuple([(Fraction(x, q), c)
-                           for x, c in zip(self._idx, self._coeffs)])
+                           for x, c in zip(self._idx, coeffs)])
             object.__setattr__(self, "_terms", terms)
         return terms
 
@@ -211,19 +238,24 @@ class NovikovSeries:
                 idx = self._idx
                 k = bisect_left(idx, x.numerator)
                 if k < len(idx) and idx[k] == x.numerator:
-                    return self._coeffs[k]
+                    return self._scalar(k)
         return Fraction(0) if self.mode == EXACT else 0j
+
+    def _scalar(self, k):
+        """Coefficient ``k`` as a ``Fraction`` (exact) or complex (float)."""
+        c = self._coeffs[k]
+        return Fraction(c, self._den) if self.mode == EXACT else c
 
     def leading(self):
         """(exponent, coefficient) of the lowest order term."""
         if not self._idx:
             raise DivisionByZero("zero series has no leading term")
-        return Fraction(self._idx[0], self._q), self._coeffs[0]
+        return Fraction(self._idx[0], self._q), self._scalar(0)
 
     def reduction(self):
         """Constant term, i.e. reduction modulo the maximal ideal."""
         if self._idx and self._idx[0] == 0:
-            return self._coeffs[0]
+            return self._scalar(0)
         return Fraction(0) if self.mode == EXACT else 0j
 
     def _check(self, other):
@@ -238,7 +270,7 @@ class NovikovSeries:
         if self._idx and self._idx[0] == 0:
             return NovikovSeries._from_indices(
                 self._q, self._idx[1:], self._coeffs[1:], self._cap,
-                self.mode, self.tol)
+                self.mode, self.tol, self._den)
         return self
 
     # -- ring operations ---------------------------------------------------
@@ -249,20 +281,26 @@ class NovikovSeries:
         tol = self._check(other)
         q, ia, ta, ib, tb = _common_grid(self, other)
         cap = min(ta, tb)
-        merged = dict(zip(ia, self._coeffs))
-        for x, c in zip(ib, other._coeffs):
+        ca, cb, den = self._coeffs, other._coeffs, self._den
+        if den != other._den:   # exact numerators onto the lcm
+            den = math.lcm(den, other._den)
+            ma, mb = den // self._den, den // other._den
+            ca = [c * ma for c in ca]
+            cb = [c * mb for c in cb]
+        merged = dict(zip(ia, ca))
+        for x, c in zip(ib, cb):
             a = merged.get(x)
             merged[x] = c if a is None else a + c
         idx = sorted(x for x in merged if x < cap)
         return NovikovSeries._from_indices(q, idx, [merged[x] for x in idx],
-                                           cap, self.mode, tol)
+                                           cap, self.mode, tol, den)
 
     __radd__ = __add__
 
     def __neg__(self):
         return NovikovSeries._from_indices(
             self._q, self._idx, [-c for c in self._coeffs], self._cap,
-            self.mode, self.tol)
+            self.mode, self.tol, self._den)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, float, complex)):
@@ -275,9 +313,12 @@ class NovikovSeries:
     def scale(self, c):
         """Multiply by a scalar of the coefficient field."""
         c = _coerce_coeff(c, self.mode)
+        den = self._den
+        if self.mode == EXACT:
+            c, den = c.numerator, den * c.denominator
         return NovikovSeries._from_indices(
             self._q, self._idx, [c * a for a in self._coeffs], self._cap,
-            self.mode, self.tol)
+            self.mode, self.tol, den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, float, complex)):
@@ -300,7 +341,8 @@ class NovikovSeries:
                     out[x] = get(x, 0) + ca * cb
         idx = sorted(out)
         return NovikovSeries._from_indices(q, idx, [out[x] for x in idx],
-                                           cap, self.mode, tol)
+                                           cap, self.mode, tol,
+                                           self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -335,7 +377,7 @@ class NovikovSeries:
         if m > 1:
             idx = [x * m for x in idx]
         return NovikovSeries._from_indices(q, idx, self._coeffs[:k], cap,
-                                           self.mode, self.tol)
+                                           self.mode, self.tol, self._den)
 
     def inverse(self, trunc=None):
         """Multiplicative inverse as a Laurent-type series.
@@ -353,10 +395,14 @@ class NovikovSeries:
         """
         if self.is_zero:
             raise DivisionByZero("cannot invert the zero series")
-        v, c = self.leading()
-        lead = NovikovSeries.monomial(
-            Fraction(1, 1) / c if self.mode == EXACT else 1.0 / c, -v,
-            mode=self.mode, tol=self.tol)
+        x, c = self._idx[0], self._coeffs[0]
+        v = Fraction(x, self._q)
+        if self.mode == EXACT:   # (c/den)^-1 = den/c, the sign on top
+            c, den = (self._den, c) if c > 0 else (-self._den, -c)
+        else:
+            c, den = 1.0 / c, 1
+        lead = NovikovSeries._from_indices(self._q, [-x], [c], INF, self.mode,
+                                           self.tol, den)
         u = (self * lead)._without_constant()  # element of the maximal ideal
         if trunc is not None:
             result_trunc = as_exponent(trunc)
@@ -413,9 +459,11 @@ class NovikovSeries:
         """Copy of the series with complex-float coefficients."""
         if self.mode == FLOAT:
             return self
+        # int true division is correctly rounded, as float(Fraction) is
+        den = self._den
         return NovikovSeries._from_indices(
-            self._q, self._idx, [complex(c) for c in self._coeffs], self._cap,
-            FLOAT, self.tol if tol is None else tol)
+            self._q, self._idx, [complex(c / den) for c in self._coeffs],
+            self._cap, FLOAT, self.tol if tol is None else tol)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, float, complex)):
@@ -423,12 +471,13 @@ class NovikovSeries:
         if not isinstance(other, NovikovSeries):
             return NotImplemented
         return (self.mode == other.mode and self._q == other._q
-                and self._cap == other._cap and self._idx == other._idx
+                and self._cap == other._cap and self._den == other._den
+                and self._idx == other._idx
                 and self._coeffs == other._coeffs)
 
     def __hash__(self):
-        return hash((self.mode, self._q, self._cap, tuple(self._idx),
-                     tuple(self._coeffs)))
+        return hash((self.mode, self._q, self._cap, self._den,
+                     tuple(self._idx), tuple(self._coeffs)))
 
     def approx_eq(self, other, tol=1e-9):
         """Termwise comparison up to ``tol`` on the common truncation."""
@@ -530,24 +579,20 @@ def _support_recurrence(u: NovikovSeries, exp: bool) -> NovikovSeries:
 
     so every ``e_{x-s}`` is known when ``e_x`` is formed.  The cost is
     (output terms) x (terms of ``u``), independent of ``cap``.  Exact
-    mode yields the same rationals as summing powers; float mode prunes
-    below ``tol`` once, at the end.
+    mode yields the same rationals as summing powers: with ``u_s`` the
+    int ``n_s`` over ``d``, each ``e_x`` is an int over its own int
+    denominator, which the division by ``d`` (and by ``x``) multiplies
+    and one gcd reduces.  Float mode prunes below ``tol`` once, at the
+    end.
     """
     cap = u._cap
     gens = [(s, s * c if exp else -c) for s, c in zip(u._idx, u._coeffs)]
-    coeffs = {0: Fraction(1) if u.mode == EXACT else 1 + 0j}
     heap = [s for s, _ in gens if s < cap]
     seen = set(heap)
+    support = []    # the heap pops in increasing order, so this is sorted
     while heap:
         x = heapq.heappop(heap)
-        acc = 0
-        for s, w in gens:
-            if s > x:
-                break
-            prev = coeffs.get(x - s)
-            if prev is not None:
-                acc += w * prev
-        coeffs[x] = acc / x if exp else acc
+        support.append(x)
         for s, _ in gens:
             y = x + s
             if y >= cap:
@@ -555,10 +600,42 @@ def _support_recurrence(u: NovikovSeries, exp: bool) -> NovikovSeries:
             if y not in seen:
                 seen.add(y)
                 heapq.heappush(heap, y)
-    # the heap pops in increasing order, so the keys are sorted
-    return NovikovSeries._from_indices(u._q, list(coeffs),
-                                       list(coeffs.values()), cap, u.mode,
-                                       u.tol)
+    if u.mode == FLOAT:
+        coeffs = {0: 1 + 0j}
+        for x in support:
+            acc = 0
+            for s, w in gens:
+                if s > x:
+                    break
+                prev = coeffs.get(x - s)
+                if prev is not None:
+                    acc += w * prev
+            coeffs[x] = acc / x if exp else acc
+        return NovikovSeries._from_indices(u._q, [0] + support,
+                                           list(coeffs.values()), cap, FLOAT,
+                                           u.tol)
+    d = u._den
+    nums, dens = {0: 1}, {0: 1}     # e_x = nums[x] / dens[x]
+    for x in support:
+        num, den = 0, 1
+        for s, w in gens:
+            if s > x:
+                break
+            prev = nums.get(x - s)
+            if prev is not None:
+                pden = dens[x - s]
+                if pden == den:
+                    num += w * prev
+                else:
+                    num, den = num * pden + w * prev * den, den * pden
+        den *= d * x if exp else d
+        g = math.gcd(num, den)
+        nums[x], dens[x] = num // g, den // g
+    den = math.lcm(*dens.values())
+    return NovikovSeries._from_indices(
+        u._q, [0] + support,
+        [n * (den // e) for n, e in zip(nums.values(), dens.values())], cap,
+        EXACT, u.tol, den)
 
 
 def parse_series(text: str, mode=EXACT, trunc=INF, tol=DEFAULT_TOL) -> NovikovSeries:

@@ -135,6 +135,55 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(twoblow, Fraction(1, 10), row={5: Fraction(1, 2)})
 
+    def test_float_step_rejected(self):
+        # 0.1 as a Fraction is 3602879701896397/2^55: that grid misses
+        # u = 1/2, the balanced fiber the scan with step 1/10 finds
+        with pytest.raises(TypeError):
+            scan(build_example("cp1"), 0.1)
+
+    def test_float_row_value_rejected(self, twoblow):
+        # the row 0.3 is off u2 = 3/10, so it missed the paper's interval
+        with pytest.raises(TypeError):
+            scan(twoblow, 0.025, row={2: 0.3})
+        with pytest.raises(TypeError):
+            scan(twoblow, Fraction(1, 40), row={2: 0.3})
+        with pytest.raises(TypeError):
+            scan(twoblow, 0.025, row={2: Fraction(3, 10)})
+
+    def test_infinite_step_or_row_rejected(self, twoblow):
+        with pytest.raises(ValueError):
+            scan(twoblow, math.inf)
+        with pytest.raises(ValueError):
+            scan(twoblow, Fraction(1, 40), row={2: math.inf})
+
+    @pytest.mark.parametrize("step", ["1/10", "0.1"])
+    def test_string_step_scans_as_fraction(self, step):
+        P = build_example("cp1")
+        reports = scan(P, step)
+        assert ([r.to_dict() for r in reports]
+                == [r.to_dict() for r in scan(P, Fraction(1, 10))])
+        assert balanced_locus(reports) == [(Fraction(1, 2),)]
+
+    def test_string_row_scans_as_fraction(self, twoblow):
+        reports = scan(twoblow, "1/40", row={2: "3/10"})
+        assert ([r.to_dict() for r in reports] == [r.to_dict() for r in scan(
+            twoblow, Fraction(1, 40), row={2: Fraction(3, 10)})])
+        assert balanced_locus(reports) == [
+            (Fraction(13, 40), Fraction(3, 10)),
+            (Fraction(7, 20), Fraction(3, 10))]
+
+    def test_int_step_and_row_scan_as_fraction(self):
+        # the simplex u1, u2 >= 0, u1 + u2 <= 5 holds six unit grid points
+        P = MomentPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -5)])
+        reports = scan(P, 1)
+        assert len(reports) == 6
+        assert ([r.to_dict() for r in reports]
+                == [r.to_dict() for r in scan(P, Fraction(1))])
+        row = scan(P, 1, row={2: 2})
+        assert [r.u for r in row] == [(1, 2), (2, 2)]
+        assert ([r.to_dict() for r in row] == [r.to_dict() for r in scan(
+            P, Fraction(1), row={2: Fraction(2)})])
+
     @pytest.mark.parametrize("P", [QUADRANT, STRIP], ids=["quadrant", "strip"])
     def test_unbounded_polytope_raises(self, P):
         assert P._recession_ray() == (0, 1)

@@ -398,9 +398,15 @@ def same(s, r):
 _mixed_exps = st.fractions(min_value=-3, max_value=5, max_denominator=12)
 _mixed_truncs = st.one_of(st.just(INF), st.fractions(
     min_value=-2, max_value=6, max_denominator=12))
+# small coefficients, and as often numerators up to 10^12 over
+# denominators up to 10^6, so that sums and products meet coprime and
+# shared denominators far from 1
+_big_coeffs = st.builds(Fraction, st.integers(-10**12, 10**12),
+                        st.integers(1, 10**6))
+_wide_coeffs = st.one_of(_coeffs, _big_coeffs)
 _mixed = st.builds(
     lambda ts, t: NovikovSeries(ts, trunc=t),
-    st.lists(st.tuples(_mixed_exps, _coeffs), max_size=5), _mixed_truncs)
+    st.lists(st.tuples(_mixed_exps, _wide_coeffs), max_size=5), _mixed_truncs)
 _mixed_float = st.builds(
     lambda ts, t: NovikovSeries(ts, trunc=t, mode=FLOAT),
     st.lists(st.tuples(_mixed_exps, st.complex_numbers(
@@ -410,21 +416,37 @@ _mixed_float = st.builds(
 _mixed_small = st.builds(
     lambda ts, t: NovikovSeries([(e, c) for e, c in ts if e > 0], trunc=t),
     st.lists(st.tuples(st.fractions(min_value=Fraction(1, 4), max_value=3,
-                                    max_denominator=12), _coeffs),
+                                    max_denominator=12), _wide_coeffs),
              max_size=4),
     st.fractions(min_value=Fraction(1, 12), max_value=2, max_denominator=12))
 # nonzero, known mod T^(v + t) past its valuation v, for inverse
 _invertible = st.builds(
     lambda v, c, tail, t: NovikovSeries(
         [(v, c)] + [(v + d, x) for d, x in tail], trunc=v + t),
-    _mixed_exps, _coeffs.filter(bool),
+    _mixed_exps, _wide_coeffs.filter(bool),
     st.lists(st.tuples(st.fractions(min_value=Fraction(1, 4), max_value=3,
-                                    max_denominator=12), _coeffs),
+                                    max_denominator=12), _wide_coeffs),
              max_size=4),
     st.fractions(min_value=Fraction(1, 12), max_value=3, max_denominator=12))
 _zero_with_trunc = NovikovSeries.zero(trunc=Fraction(5, 7))
 _odd_trunc = NovikovSeries([(Fraction(1, 2), 3), (Fraction(-1, 3), 1)],
                            trunc=Fraction(9, 5))
+# coefficient denominators 999983 and 999979 (primes), or 999983, 10^6
+# and 2^6 (10^6 and 2^6 share a factor), with numerators near 10^12 that
+# cancel between _big_coprime and _big_shared
+_big_coprime = NovikovSeries(
+    [(0, Fraction(10**12 - 1, 999983)), (Fraction(1, 3), Fraction(-7, 999979)),
+     (Fraction(5, 4), Fraction(10**12, 999979))], trunc=Fraction(11, 4))
+_big_shared = NovikovSeries(
+    [(0, Fraction(-(10**12 - 1), 999983)), (Fraction(1, 3), Fraction(3, 10**6)),
+     (Fraction(1, 2), Fraction(999999, 2**6))], trunc=Fraction(7, 3))
+_big_small = NovikovSeries(
+    [(Fraction(1, 4), Fraction(10**12 - 11, 999983)),
+     (Fraction(2, 3), Fraction(-(10**12), 7))], trunc=Fraction(13, 6))
+
+
+def ref_scale(a, c):
+    return ref_clean({e: c * x for e, x in a[0].items()}, a[1])
 
 
 class TestAgainstFractionReference:
@@ -433,6 +455,9 @@ class TestAgainstFractionReference:
     @example(_zero_with_trunc, _odd_trunc)
     @example(_odd_trunc, _zero_with_trunc)
     @example(_zero_with_trunc, NovikovSeries.zero())
+    @example(_big_coprime, _big_shared)
+    @example(_big_shared, _big_small)
+    @example(_big_coprime, _big_coprime)
     def test_sum_difference_product(self, a, b):
         assert same(a + b, ref_add(ref(a), ref(b)))
         assert same(a - b, ref_add(ref(a), ref_neg(ref(b))))
@@ -446,9 +471,22 @@ class TestAgainstFractionReference:
         assert same(a * b, ref_mul(ref(a), ref(b), tol=a.tol))
 
     @settings(max_examples=100, deadline=None)
+    @given(_mixed, st.one_of(_wide_coeffs, st.integers(-10**6, 10**6)))
+    @example(_big_coprime, 0)
+    @example(_big_coprime, Fraction(0))
+    @example(_big_coprime, Fraction(999983, 10**12 - 1))
+    @example(_big_shared, Fraction(-(10**6), 3))
+    @example(_zero_with_trunc, Fraction(2, 3))
+    def test_scale(self, a, c):
+        assert same(a.scale(c), ref_scale(ref(a), Fraction(c)))
+        assert same(a * c, ref_scale(ref(a), Fraction(c)))
+
+    @settings(max_examples=100, deadline=None)
     @given(_mixed, _mixed_exps)
     @example(_odd_trunc, Fraction(1, 7))
     @example(_zero_with_trunc, Fraction(1, 3))
+    @example(_big_coprime, Fraction(1, 3))
+    @example(_big_shared, Fraction(1, 2))
     def test_truncate(self, a, order):
         assert same(a.truncate(order), ref_truncate(ref(a), order))
 
@@ -456,12 +494,18 @@ class TestAgainstFractionReference:
     @given(_mixed_small)
     @example(NovikovSeries([(Fraction(1, 3), 2)], trunc=Fraction(7, 4)))
     @example(NovikovSeries.zero(trunc=Fraction(3, 5)))
+    @example(_big_small)
+    @example(NovikovSeries([(Fraction(1, 2), Fraction(10**12 - 1, 999983)),
+                            (Fraction(3, 4), Fraction(5, 10**6))], trunc=2))
     def test_exp(self, p):
         assert same(p.exp(), ref_exp(ref(p)))
 
     @settings(max_examples=100, deadline=None)
     @given(_invertible)
     @example(_odd_trunc)
+    @example(_big_coprime)
+    @example(_big_shared)
+    @example(_big_small)
     def test_inverse(self, a):
         assert same(a.inverse(), ref_inverse(ref(a)))
 
@@ -480,6 +524,13 @@ def _by_other_paths(a):
                           trunc=INF if t is INF else t + 2)
     yield wider.truncate(t)
     yield NovikovSeries(reversed(a.terms), trunc=t)
+    big = Fraction(10**12 - 1, 999983)
+    yield a.scale(big).scale(1 / big)
+    yield a * NovikovSeries.const(big) * NovikovSeries.const(1 / big)
+    y = NovikovSeries([(0, big), (Fraction(1, 3), Fraction(-7, 10**6))])
+    yield (a - y) + y
+    yield a + a.scale(0)
+    yield a.scale(3) - a.scale(2)
 
 
 class TestCanonicalStorage:
@@ -487,6 +538,8 @@ class TestCanonicalStorage:
     @given(_mixed)
     @example(_zero_with_trunc)
     @example(_odd_trunc)
+    @example(_big_coprime)
+    @example(_big_shared)
     def test_equal_series_are_equal_and_hash_equal(self, a):
         for b in _by_other_paths(a):
             assert b == a
@@ -502,9 +555,104 @@ class TestCanonicalStorage:
                 dens.append(s.trunc.denominator)
             assert s._q == math.lcm(*dens)
 
+    @settings(max_examples=100, deadline=None)
+    @given(_mixed, _mixed, _wide_coeffs)
+    @example(_big_coprime, _big_shared, Fraction(999983, 10**12 - 1))
+    @example(_big_shared, _big_shared, Fraction(0))
+    def test_coefficient_denominator_is_least(self, a, b, c):
+        # the numerators over one denominator are in lowest terms: the
+        # denominator is the lcm of the coefficients' own ones (1 for 0)
+        for s in (a, a + b, a - b, a * b, a.truncate(Fraction(1, 3)),
+                  a.scale(c), a.scale(0), a.scale(Fraction(-3, 10**6))):
+            assert s._den == math.lcm(*[x.denominator for _, x in s.terms])
+            if s.is_zero:
+                assert s._den == 1
+
     def test_rsub_with_scalars(self):
         a = parse_series("2 + T^1/3", trunc=Fraction(3, 2))
         assert 3 - a == parse_series("1 - T^1/3", trunc=Fraction(3, 2))
         assert hash(3 - a) == hash(-(a - 3))
         f = a.to_float()
         assert (1.5 - f).approx_eq(-(f - 1.5), tol=0)
+
+
+# -- the Fraction boundary of exact series ----------------------------------
+
+# numerators and denominators far beyond 2^53 (the float mantissa), with
+# quotients inside the float range
+_huge_coeffs = st.builds(Fraction, st.integers(-2**200, 2**200),
+                         st.integers(1, 2**180))
+_exact_dicts = st.dictionaries(
+    _mixed_exps, st.one_of(_wide_coeffs, _huge_coeffs).filter(bool),
+    max_size=6)
+
+
+def ref_repr(terms, trunc):
+    """``repr`` of a series from its ``(exponent, Fraction)`` terms."""
+    body = " + ".join(f"{c}" if e == 0 else f"{c}*T^{e}"
+                      for e, c in terms) or "0"
+    if trunc is not INF:
+        body += f" (mod T^{trunc})"
+    return f"<{body}>"
+
+
+def bits(z):
+    return z.real.hex(), z.imag.hex()
+
+
+class TestFractionBoundary:
+    @settings(max_examples=200, deadline=None)
+    @given(_exact_dicts)
+    @example({Fraction(0): Fraction(2**53 + 1, 3**40),
+              Fraction(1, 2): Fraction(-(10**30) - 7, 2**60 + 1),
+              Fraction(2, 3): Fraction(2**200 - 1, 2**180 - 1)})
+    @example({Fraction(1, 3): Fraction(1, 10**320),      # subnormal
+              Fraction(1, 2): Fraction(10**300, 3)})
+    def test_to_float_is_complex_of_fraction_bit_for_bit(self, d):
+        # the numerators share a denominator, the lcm of the ones of d
+        f = NovikovSeries(d.items()).to_float(tol=0.0)
+        for e, c in d.items():
+            assert bits(f.coefficient(e)) == bits(complex(c))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_exact_dicts, _mixed_truncs)
+    @example({Fraction(-1, 2): Fraction(10**12 + 1, 999983),
+              Fraction(0): Fraction(1, 2), Fraction(1, 3): Fraction(-2)},
+             Fraction(7, 3))
+    @example({}, INF)
+    @example({Fraction(1, 4): Fraction(3, 10**6)}, Fraction(1, 4))
+    def test_fractions_and_strings(self, d, t):
+        a = NovikovSeries(d.items(), trunc=t)
+        want = sorted((e, c) for e, c in d.items() if e < t)
+        assert a.terms == tuple(want)
+        assert all(type(c) is Fraction for _, c in a.terms)
+        for e in list(d) + [Fraction(1, 97)]:
+            c = a.coefficient(e)
+            assert type(c) is Fraction and c == dict(want).get(e, 0)
+        # the constant term, when it is the lowest one
+        r = a.reduction()
+        assert type(r) is Fraction
+        assert r == (want[0][1] if want and want[0][0] == 0 else 0)
+        if want:
+            assert a.leading() == want[0]
+            assert type(a.leading()[1]) is Fraction
+        assert a.to_records() == [{"exp": str(e), "num": str(c)}
+                                  for e, c in want]
+        assert NovikovSeries.from_records(a.to_records(), trunc=t) == a
+        assert repr(a) == ref_repr(want, t)
+
+    def test_pinned_strings(self):
+        a = NovikovSeries([(0, Fraction(1, 2)), (Fraction(1, 3), -2),
+                           (Fraction(-1, 2), Fraction(10**12 + 1, 999983))],
+                          trunc=Fraction(7, 3))
+        assert repr(a) == ("<1000000000001/999983*T^-1/2 + 1/2 + -2*T^1/3 "
+                           "(mod T^7/3)>")
+        assert a.to_records() == [
+            {"exp": "-1/2", "num": "1000000000001/999983"},
+            {"exp": "0", "num": "1/2"}, {"exp": "1/3", "num": "-2"}]
+        assert a.to_float(tol=0).to_records() == [
+            {"exp": "-1/2", "re": 1000017.0002900049, "im": 0.0},
+            {"exp": "0", "re": 0.5, "im": 0.0},
+            {"exp": "1/3", "re": -2.0, "im": 0.0}]
+        assert repr(NovikovSeries.zero(trunc=3)) == "<0 (mod T^3)>"
+        assert repr(NovikovSeries.zero()) == "<0>"

@@ -481,6 +481,13 @@ class _NewtonGrid:
         self.n = F.n
         self.E = np.array([e for _, e in terms], dtype=float).reshape(-1, F.n)
         self.C = np.zeros((len(terms), cap), dtype=complex)
+        # Rounding-error bound gamma_m = m u / (1 - m u) of a sum of m
+        # products (Higham, Accuracy and Stability, 2002, Sec. 3.1), with
+        # |E[t, r]| summed over the terms: coordinate r of ``E^T V`` at an
+        # order where every term value is at most ``env`` is within
+        # ``roundoff[r] * env`` of the exact sum.
+        m, u = len(terms), np.finfo(float).eps / 2
+        self.roundoff = m * u / (1 - m * u) * np.abs(self.E).sum(axis=0)
         self.shift = []          # (index, scalar) of a monomial coefficient
         for t, (coeff, _) in enumerate(terms):
             idx = [int(x * q) for x, _ in coeff]
@@ -498,6 +505,9 @@ class _NewtonGrid:
         against the running maximum of ``|V|`` (an entry below ``tol``
         times that envelope is roundoff), solves for the correction
         ``delta`` and multiplies each coordinate by ``exp(delta)``.
+        Gradient entries within the rounding-error bound of their sum
+        are zeroed before the solve, so the correction has no roundoff
+        orders below its true valuation.
         """
         q, cap, tol = self.q, self.cap, self.tol
         y = np.zeros((self.n, cap), dtype=complex)
@@ -517,6 +527,9 @@ class _NewtonGrid:
             env = np.maximum.accumulate(
                 np.maximum(np.abs(V).max(axis=0, initial=0), 1.0))
             G = self.E.T @ V
+            # what the sum's roundoff can explain is zero, so that each
+            # correction starts at its true valuation
+            G[np.abs(G) <= self.roundoff[:, None] * env] = 0
             k = _first((np.abs(G) > tol * env).any(axis=0))
             if k is None:
                 return [self._series(yi) for yi in y]

@@ -172,19 +172,36 @@ class NovikovSeries:
 
     @classmethod
     def zero(cls, mode=EXACT, trunc=INF, tol=DEFAULT_TOL):
-        return cls((), trunc=trunc, mode=mode, tol=tol)
+        return cls.monomial(0, INF, mode=mode, trunc=trunc, tol=tol)
 
     @classmethod
     def const(cls, c, mode=EXACT, trunc=INF, tol=DEFAULT_TOL):
-        return cls([(Fraction(0), c)], trunc=trunc, mode=mode, tol=tol)
+        return cls.monomial(c, 0, mode=mode, trunc=trunc, tol=tol)
 
     @classmethod
     def one(cls, mode=EXACT, trunc=INF, tol=DEFAULT_TOL):
-        return cls.const(1, mode=mode, trunc=trunc, tol=tol)
+        return cls.monomial(1, 0, mode=mode, trunc=trunc, tol=tol)
 
     @classmethod
     def monomial(cls, coeff, exp, mode=EXACT, trunc=INF, tol=DEFAULT_TOL):
-        return cls([(exp, coeff)], trunc=trunc, mode=mode, tol=tol)
+        """``coeff T^exp``, stored directly as at most one index on the
+        grid of ``exp`` and ``trunc``."""
+        if mode not in (EXACT, FLOAT):
+            raise ValueError(f"unknown mode {mode!r}")
+        trunc, exp = as_exponent(trunc), as_exponent(exp)
+        c, den = _coerce_coeff(coeff, mode), 1
+        if mode == EXACT:
+            c, den = c.numerator, c.denominator
+        q, cap = (1, INF) if trunc is INF else \
+            (trunc.denominator, trunc.numerator)
+        if exp is INF or cap is not INF and \
+                exp.numerator * q >= cap * exp.denominator:   # exp >= trunc
+            return cls._from_indices(q, [], [], cap, mode, tol)
+        m = math.lcm(q, exp.denominator)
+        if cap is not INF:
+            cap *= m // q
+        return cls._from_indices(m, [exp.numerator * (m // exp.denominator)],
+                                 [c], cap, mode, tol, den)
 
     # -- structure ---------------------------------------------------------
 

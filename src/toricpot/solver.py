@@ -71,10 +71,11 @@ class SolveResult:
 
 
 def _substitute(terms: dict, assignment: dict):
-    """Fold assigned variables into coefficients; keys keep full length."""
+    """Fold assigned variables into the complex coefficients; keys keep
+    full length."""
     out: dict = {}
     for e, c in terms.items():
-        value = complex(c)
+        value = c
         key = list(e)
         for j, v in assignment.items():
             if e[j] != 0:
@@ -87,8 +88,8 @@ def _substitute(terms: dict, assignment: dict):
 
 def _term_size(terms: dict, point):
     """Sum of the moduli of the terms of one equation at a point."""
-    return sum(abs(complex(c)) * math.prod(abs(point[j]) ** p
-                                           for j, p in enumerate(e))
+    return sum(abs(c) * math.prod(abs(point[j]) ** p
+                                  for j, p in enumerate(e))
                for e, c in terms.items())
 
 
@@ -436,8 +437,9 @@ def solve_equations(equations: Sequence[dict], labels,
     below 1.  A point that fails this check, or at which a term overflows
     a double, is dropped, and the result is then not certified.
     """
-    original = [dict(t) for t in equations]
-    normalized, free_idx = normalize(equations)
+    # every stage computes in complex floats: convert each coefficient once
+    original = [{e: complex(c) for e, c in t.items()} for t in equations]
+    normalized, free_idx = normalize(original)
     nvars = len(labels)
     search = _Search(normalized, nvars, tol).run()
     certified = search.certified

@@ -16,6 +16,7 @@ from toricpot import (FLOAT, INF, BulkDeformation, MomentPolytope,
                       case_analysis_two_point, fano_bulk_potential,
                       leading_equations, leading_potential, lift_bulk,
                       lift_point, solution_to_torus, solve)
+from toricpot import lifting
 from toricpot.errors import (BadGenerator, BadKahlerParams,
                              DegenerateCritical, MonoidOverflow, OutOfScope)
 from toricpot.lifting import (LIFT_TOL, _exp, _inverse, _monoid_close,
@@ -785,6 +786,116 @@ class TestGridPrimitives:
         _assert_vector_matches(got[0], q, (a + c0).exp())
         _assert_vector_matches(np.convolve(got[0], got[1])[:cap], q,
                                NovikovSeries.one(mode=FLOAT))
+
+
+# -- the engine's primitives against exact series ---------------------------
+
+def _draw_exact(draw, q, cap, valuation):
+    """An exact series on the grid (1/q)Z below ``cap/q`` with valuation
+    at least ``valuation/q``, and its grid vector; ``valuation=None``
+    draws a zero prefix of any length up to ``cap``."""
+    if valuation is None:
+        valuation = draw(st.integers(1, cap))
+    idx = draw(st.lists(st.integers(valuation, cap - 1), max_size=6,
+                        unique=True)) if valuation < cap else []
+    coeffs = [draw(st.fractions(-2, 2, max_denominator=60).filter(bool))
+              for _ in idx]
+    vec = np.zeros(cap, dtype=complex)
+    for j, c in zip(idx, coeffs):
+        vec[j] = complex(c)
+    series = NovikovSeries([(Fraction(j, q), c) for j, c in zip(idx, coeffs)])
+    return series, vec
+
+
+@st.composite
+def exact_grid_series(draw, valuation=0):
+    """(q, cap, exact series, its grid vector), as ``_draw_exact``."""
+    q = draw(st.integers(1, 12))
+    cap = q * draw(st.integers(1, 3))
+    return (q, cap, *_draw_exact(draw, q, cap, valuation))
+
+
+def _assert_matches_exact(vec, q, series):
+    """``vec`` equals the exact ``series`` below ``T^(len(vec)/q)`` within
+    1e-12 of its largest coefficient."""
+    cap = len(vec)
+    want = np.zeros(cap, dtype=complex)
+    for e, c in series.truncate(Fraction(cap, q)).terms:
+        want[int(e * q)] = complex(c)
+    scale = max(np.abs(want).max(initial=0), 1.0)
+    assert np.abs(vec - want).max(initial=0) <= 1e-12 * scale
+
+
+_units = st.fractions(-2, 2, max_denominator=60).filter(lambda c: abs(c) >= 0.5)
+
+
+class TestGridPrimitivesExact:
+    @settings(max_examples=80, deadline=None)
+    @given(exact_grid_series(valuation=1), _units,
+           st.integers(-3, 4).filter(bool))
+    def test_power(self, data, lead, p):
+        q, cap, a, va = data
+        unit = a + lead
+        va[0] += complex(lead)
+        if p > 0:
+            got, want = _power(va, p, None), unit ** p
+        else:
+            got = _power(va, p, _inverse(va, cap))
+            want = unit.inverse(Fraction(cap, q)) ** -p
+        _assert_matches_exact(got, q, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(exact_grid_series(valuation=1), _units, st.data())
+    def test_inverse(self, data, lead, draw):
+        # also from a shorter input, as the elimination's pivot rows are
+        q, cap, a, va = data
+        k = draw.draw(st.integers(1, cap))
+        # the orders from k on count as 0
+        unit = NovikovSeries([(e, c) for e, c in (a + lead).terms
+                              if e < Fraction(k, q)])
+        va[0] += complex(lead)
+        _assert_matches_exact(_inverse(va[:k], cap), q,
+                              unit.inverse(Fraction(cap, q)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(exact_grid_series(valuation=None), st.data())
+    def test_exp_after_zero_prefix(self, a, draw):
+        # _exp's block width is the shortest zero prefix of its rows
+        q, cap, sa, va = a
+        sb, vb = _draw_exact(draw.draw, q, cap, None)
+        got = _exp(np.vstack([va, -va, vb]))
+        trunc = Fraction(cap, q)
+        for row, s in zip(got, (sa, -sa, sb)):
+            _assert_matches_exact(row, q, s.truncate(trunc).exp())
+
+
+# -- Newton corrections start at their true valuation -----------------------
+
+class TestCorrectionValuations:
+    def test_case_two_corrections_double(self, monkeypatch):
+        # The gradient's orders within the rounding-error bound of its sum
+        # are zeroed before the solve, so each correction's first nonzero
+        # index is its true valuation and roughly doubles per iteration.
+        # Without that floor the roundoff left in the low orders of the
+        # gradient gives corrections starting at 0, 1, 1, 1, 3.
+        seen = []
+
+        def exp(c):
+            seen[-1].append(int(np.flatnonzero(c.any(axis=0))[0]))
+            return _exp(c)
+
+        lift = lifting._NewtonGrid.lift
+
+        def traced_lift(self, y0):
+            seen.append([])
+            return lift(self, y0)
+
+        monkeypatch.setattr(lifting, "_exp", exp)
+        monkeypatch.setattr(lifting._NewtonGrid, "lift", traced_lift)
+        reports = case_analysis_two_point(Fraction(2, 5), 1, Fraction(1, 10),
+                                          N=3)
+        assert [(r.case, r.mu) for r in reports] == [(2, Fraction(1, 30))]
+        assert seen == [[1, 2, 4, 8, 18]] * 3
 
 
 if __name__ == "__main__":

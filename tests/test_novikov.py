@@ -576,6 +576,58 @@ class TestCanonicalStorage:
         assert (1.5 - f).approx_eq(-(f - 1.5), tol=0)
 
 
+def _storage(s):
+    return (s._q, s._idx, s._coeffs, s._den, s._cap, s.mode, s.tol)
+
+
+class TestDirectConstructors:
+    """``zero``, ``const``, ``one`` and ``monomial`` store their one term
+    directly; the result is what the generic constructor stores."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mixed_exps, st.one_of(_wide_coeffs, st.just(0), st.integers(-5, 5)),
+           _mixed_truncs)
+    @example(Fraction(5, 7), Fraction(3), Fraction(5, 7))   # at trunc
+    @example(Fraction(1, 3), 0, Fraction(7, 4))            # zero term
+    def test_exact_monomial(self, e, c, t):
+        want = NovikovSeries([(e, c)], trunc=t)
+        assert _storage(NovikovSeries.monomial(c, e, trunc=t)) == \
+            _storage(want)
+        if e == 0:
+            assert _storage(NovikovSeries.const(c, trunc=t)) == \
+                _storage(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_mixed_exps, st.one_of(
+        st.complex_numbers(max_magnitude=4, allow_nan=False,
+                           allow_infinity=False),
+        st.just(1e-12), st.just(0.0)), _mixed_truncs)
+    def test_float_monomial(self, e, c, t):
+        want = NovikovSeries([(e, c)], trunc=t, mode=FLOAT)
+        assert _storage(NovikovSeries.monomial(c, e, trunc=t, mode=FLOAT)) \
+            == _storage(want)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("t", [INF, Fraction(0), Fraction(5, 7),
+                                   Fraction(-3, 2), Fraction(4)])
+    def test_zero_and_one(self, mode, t):
+        assert _storage(NovikovSeries.zero(mode=mode, trunc=t)) == \
+            _storage(NovikovSeries((), trunc=t, mode=mode))
+        assert _storage(NovikovSeries.one(mode=mode, trunc=t, tol=0.5)) == \
+            _storage(NovikovSeries([(0, 1)], trunc=t, mode=mode, tol=0.5))
+
+    def test_checks_as_the_constructor(self):
+        with pytest.raises(ModeMismatch):
+            NovikovSeries.const(0.5)
+        with pytest.raises(TypeError):
+            NovikovSeries.monomial(1, 0.5)
+        with pytest.raises(TypeError):
+            NovikovSeries.zero(trunc=0.5)
+        with pytest.raises(ValueError):
+            NovikovSeries.one(mode="double")
+        assert NovikovSeries.monomial(2, INF).is_zero
+
+
 # -- the Fraction boundary of exact series ----------------------------------
 
 # numerators and denominators far beyond 2^53 (the float mantissa), with

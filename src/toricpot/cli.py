@@ -251,12 +251,8 @@ def _cmd_solve(args):
     P = _load_polytope(args.polytope)
     u = _parse_u(args.u)
     coeffs = _parse_coeffs(args.coeffs)
-    if args.cutoff is not None:
-        result = solve_partial(P, u, args.cutoff, coefficients=coeffs,
-                               tol=args.tol)
-    else:
-        system = leading_equations(P, u, coefficients=coeffs)
-        result = solve(system, tol=args.tol)
+    result = solve_partial(P, u, args.cutoff, coefficients=coeffs,
+                           tol=args.tol)
     payload = {
         "path": result.path,
         "certified": result.certified,

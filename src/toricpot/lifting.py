@@ -42,7 +42,7 @@ from .novikov import DEFAULT_TOL, FLOAT, INF, NovikovSeries, as_exponent
 from .polytope import MomentPolytope, build_example
 from .potential import (BulkDeformation, PotentialFunction,
                         fano_bulk_potential)
-from .solver import LeadingSolution, cluster_roots
+from .solver import LeadingSolution, _root_clusters
 
 LIFT_TOL = 1e-9
 MAX_BULK_STEPS = 500    # weight corrections a bulk lift makes at most
@@ -278,15 +278,30 @@ class CaseReport:
     degenerate: bool                       # multiple secondary root present
 
 
-def case_analysis_two_point(alpha, w, kappa, N=None, lift=True):
+def case_analysis_two_point(alpha, w, kappa, N=None):
     """Critical fibers of the two-point blow-up with weight ``w T^kappa``.
 
     The symmetric shape ``beta = (1-alpha)/2`` with ``alpha > 1/3`` is
-    assumed.  Depending on how ``kappa`` compares with ``alpha/2 - 1/6``
-    the critical fiber and the secondary equation change; the returned
-    reports carry the leading values ``(c, d)`` of the substitution
-    ``y_2 = -1 + c T^mu``, ``y_1 = d`` and, when requested, the lifted
-    critical points with their residual certificates.
+    assumed.  At the fiber ``u = (u_1, beta)`` the substitution
+    ``y_1 = d``, ``y_2 = -1 + c T^mu`` turns the critical-point equations,
+    to leading order, into one polynomial equation in ``d``, with ``c`` a
+    function of ``d``.  With ``t = alpha/2 - 1/6``, ``b = beta`` and
+    ``k = kappa`` the cases are
+
+    ====  =====  =================  ============  ============  =======
+    case  when   u_1                mu            polynomial    c
+    ====  =====  =================  ============  ============  =======
+    1     k < t  (1+alpha)/4 - k/2  k             d^2 + 2/w     w/2
+    3     k < t  b + k              1 - 3b - 2k   d + w         -1/w^2
+    2     k > t  1/3                1/3 - b       d^3 + 2       d/2
+    4     k = t  1/3                1/3 - b       d^2(d+w) + 2  (w+d)/2
+    ====  =====  =================  ============  ============  =======
+
+    Each report lists the roots ``d`` with their multiplicities in
+    ``_root_key`` order.  Roots within 1e-5 of each other count as one
+    multiple root, and a report with a multiple root is ``degenerate``.
+    With ``N`` given, each simple root is Newton-lifted to a critical
+    point of the deformed potential mod ``T^N``.
     """
     alpha = Fraction(alpha)
     kappa = Fraction(kappa)
@@ -299,72 +314,40 @@ def case_analysis_two_point(alpha, w, kappa, N=None, lift=True):
         raise BadKahlerParams("requires w != 0")
     beta = (1 - alpha) / 2
     threshold = alpha / 2 - Fraction(1, 6)
+    third = Fraction(1, 3)
+    # (case, sign of kappa - threshold, u_1, mu, polynomial in d, c(d))
+    table = [
+        (1, -1, (1 + alpha) / 4 - kappa / 2, kappa, [1, 0, 2 / w],
+         lambda d: w / 2),
+        (3, -1, beta + kappa, 1 - 3 * beta - 2 * kappa, [1, w],
+         lambda d: -1 / w ** 2),
+        (2, 1, third, third - beta, [1, 0, 0, 2], lambda d: d / 2),
+        (4, 0, third, third - beta, [1, w, 0, 2], lambda d: (w + d) / 2),
+    ]
+    side = (kappa > threshold) - (kappa < threshold)
     P = build_example("two_point_blowup", alpha, beta)
     reports = []
-
-    def lifted_solutions(u_vec, raw, mu):
-        out = []
-        if N is None or not lift:
-            return [CaseSolution(c, d, m) for c, d, m in raw]
-        bulk = BulkDeformation(
-            {1: NovikovSeries.monomial(w, kappa, mode=FLOAT)}, mode=FLOAT)
-        F = fano_bulk_potential(P, u_vec, bulk, trunc=as_exponent(N) + 1)
-        grid = _NewtonGrid(F, N, (mu,))
-        for c_bar, d_bar, mult in raw:
-            sol = CaseSolution(c_bar, d_bar, mult)
-            if mult == 1:
-                sol.lifted = grid.lift([
-                    NovikovSeries.const(d_bar, mode=FLOAT),
-                    NovikovSeries.const(-1, mode=FLOAT)
-                    + NovikovSeries.monomial(c_bar, mu, mode=FLOAT)])
-                sol.lift_residual_valuation = INF
-            out.append(sol)
-        return out
-
-    if kappa < threshold:
-        # Case 1: the weight order is the smallest correction scale
-        u1 = (1 + alpha) / 4 - kappa / 2
-        mu = kappa
-        c_bar = w / 2
-        roots = np.roots([1, 0, complex(2) / w])  # d^2 = -2/w
-        raw = [(c_bar, complex(r), 1) for r in sorted(
-            roots, key=lambda z: (z.real, z.imag))]
-        reports.append(CaseReport(1, alpha, beta, w, kappa, (u1, beta), mu,
-                                  lifted_solutions([u1, beta], raw, mu),
-                                  degenerate=False))
-        # Case 3: the weight order matches the level gap
-        u1 = beta + kappa
-        mu = 1 - beta - 2 * u1
-        d_bar = -w
-        c_bar = -1 / w ** 2
-        raw = [(c_bar, d_bar, 1)]
-        reports.append(CaseReport(3, alpha, beta, w, kappa, (u1, beta), mu,
-                                  lifted_solutions([u1, beta], raw, mu),
-                                  degenerate=False))
-    elif kappa > threshold:
-        # Case 2: the weight is too deep to matter; d^3 = -2
-        u1 = Fraction(1, 3)
-        mu = u1 - beta
-        roots = np.roots([1, 0, 0, 2])
-        raw = []
-        for r in sorted(roots, key=lambda z: (z.real, z.imag)):
-            d_bar = complex(r)
-            raw.append((d_bar / 2, d_bar, 1))
-        reports.append(CaseReport(2, alpha, beta, w, kappa, (u1, beta), mu,
-                                  lifted_solutions([u1, beta], raw, mu),
-                                  degenerate=False))
-    else:
-        # Case 4: all scales coincide; cubic d^2 (d + w) + 2 = 0
-        u1 = Fraction(1, 3)
-        mu = u1 - beta
-        roots = np.roots([1, w, 0, 2])
-        clusters = cluster_roots(list(roots), tol=1e-5)
-        raw = [( (complex(w) + complex(r)) / 2, complex(r), m)
-               for r, m in clusters]
-        degenerate = any(m > 1 for _, _, m in raw)
-        reports.append(CaseReport(4, alpha, beta, w, kappa, (u1, beta), mu,
-                                  lifted_solutions([u1, beta], raw, mu),
-                                  degenerate=degenerate))
+    for case, row_side, u1, mu, poly, c_of in table:
+        if row_side != side:
+            continue
+        solutions = [CaseSolution(c_of(complex(d)), complex(d), m)
+                     for d, m in _root_clusters(poly, tol=1e-5)]
+        if N is not None:
+            bulk = BulkDeformation(
+                {1: NovikovSeries.monomial(w, kappa, mode=FLOAT)}, mode=FLOAT)
+            F = fano_bulk_potential(P, (u1, beta), bulk,
+                                    trunc=as_exponent(N) + 1)
+            grid = _NewtonGrid(F, N, (mu,))
+            for sol in solutions:
+                if sol.multiplicity == 1:
+                    sol.lifted = grid.lift([
+                        NovikovSeries.const(sol.d_bar, mode=FLOAT),
+                        NovikovSeries.const(-1, mode=FLOAT)
+                        + NovikovSeries.monomial(sol.c_bar, mu, mode=FLOAT)])
+                    sol.lift_residual_valuation = INF
+        reports.append(CaseReport(
+            case, alpha, beta, w, kappa, (u1, beta), mu, solutions,
+            degenerate=any(sol.multiplicity > 1 for sol in solutions)))
     return reports
 
 

@@ -37,7 +37,7 @@ import heapq
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import DivisionByZero, ModeMismatch, NeedsTranscendental
 
@@ -46,8 +46,6 @@ FLOAT = "float"
 DEFAULT_TOL = 1e-10
 
 INF = math.inf
-
-ExponentLike = Union[Fraction, int, str]
 
 
 def as_exponent(x) -> Fraction:

@@ -20,6 +20,8 @@ from .errors import (BadGappedTerm, NonUnitEvaluation, NotInterior,
 from .novikov import DEFAULT_TOL, EXACT, FLOAT, INF, NovikovSeries, as_exponent
 from .polytope import MomentPolytope
 
+EULER_RTOL = 1e-8   # float-mode Euler residuals up to this are pruning noise
+
 
 class PotentialFunction:
     """Laurent polynomial in y-variables over the Novikov ring."""
@@ -269,18 +271,18 @@ def with_gapped_tail(base: PotentialFunction, P: MomentPolytope, u,
     return PotentialFunction(base.n, terms)
 
 
-def euler_check(P: MomentPolytope, bulk: BulkDeformation, u, N,
-                trunc=None, rtol: float = 1e-8):
+def euler_check(P: MomentPolytope, bulk: BulkDeformation, u, N):
     """Check the Euler vector-field identity for degree-two weights.
 
     The weight variable of facet ``i`` is its exponential factor; the
     Euler field applies each weight times the derivative in that weight,
-    which regenerates exactly the facet terms.  Returns (equal, residual).
+    which regenerates exactly the facet terms.  Both sides are computed
+    mod ``T^(N+1)`` and compared mod ``T^N``; in float mode coefficients
+    up to ``EULER_RTOL`` are pruning noise.  Returns (equal, residual).
     """
     N = as_exponent(N)
-    work_trunc = (N if trunc is None else as_exponent(trunc))
-    if work_trunc is not INF:
-        work_trunc = work_trunc + 1  # headroom for the mod-T^N comparison
+    # headroom for the mod-T^N comparison
+    work_trunc = N if N is INF else N + 1
     F, weights = _fano_bulk_terms(P, u, bulk, work_trunc, bulk.tol)
     euler_terms = []
     for i, (f, w_i) in enumerate(zip(P.facets, weights)):
@@ -299,8 +301,7 @@ def euler_check(P: MomentPolytope, bulk: BulkDeformation, u, N,
     for c, _ in (euler + _negate(F)).terms:
         c = c.truncate(N)
         for e, a in c.terms:
-            # tolerate pruning noise of the float-mode series arithmetic
-            if bulk.mode == FLOAT and abs(a) <= rtol:
+            if bulk.mode == FLOAT and abs(a) <= EULER_RTOL:
                 continue
             residual = min(residual, e)
     return residual is INF, residual

@@ -152,8 +152,16 @@ def _root_key(point):
     return tuple((round(z.real, 8), round(z.imag, 8)) for z in point)
 
 
-def cluster_roots(roots, tol=DEDUP_TOL):
-    """Group numerically coincident roots; returns (center, multiplicity)."""
+def _root_clusters(coeffs, tol=DEDUP_TOL):
+    """Nonzero roots of a polynomial, grouped where they coincide.
+
+    ``coeffs`` runs from the leading coefficient down; ``np.roots`` strips
+    leading zeros.  Real coefficients are kept real, so that conjugate
+    roots come out exactly paired.  Roots of modulus at most
+    ``ZERO_ROOT_TOL`` are dropped, and a root within ``tol`` of a cluster
+    joins it.  Returns (center, multiplicity) pairs in ``_root_key`` order.
+    """
+    roots = [r for r in np.roots(coeffs) if abs(r) > ZERO_ROOT_TOL]
     clusters = []
     for r in sorted(roots, key=lambda z: _root_key((z,))):
         for idx, (center, mult) in enumerate(clusters):
@@ -163,14 +171,6 @@ def cluster_roots(roots, tol=DEDUP_TOL):
         else:
             clusters.append((r, 1))
     return clusters
-
-
-def _poly_roots(coeffs):
-    arr = np.array(coeffs, dtype=complex)
-    arr = np.trim_zeros(arr, "f")
-    if arr.size <= 1:
-        return []
-    return list(np.roots(arr))
 
 
 # -- the ladder ------------------------------------------------------------
@@ -212,9 +212,7 @@ class _Search:
             j = next(iter(varset))
             self.paths.add("a")
             coeffs = _univariate_coeffs(terms, j)
-            roots = [r for r in _poly_roots(coeffs)
-                     if abs(r) > ZERO_ROOT_TOL]
-            for center, mult in cluster_roots(roots):
+            for center, mult in _root_clusters(coeffs):
                 new_assignment = dict(assignment)
                 new_assignment[j] = center
                 self._branch(new_assignment, multiplicity * mult)
@@ -253,8 +251,6 @@ class _Search:
         f = _clear_monomial(remaining[0][0])
         g = _clear_monomial(remaining[1][0])
         for r, mult in _resultant_roots(f, g, x, y):
-            if abs(r) <= ZERO_ROOT_TOL:
-                continue
             new_assignment = dict(assignment)
             new_assignment[x] = r
             before = len(self.solutions)
@@ -322,8 +318,7 @@ def _resultant_roots(f: dict, g: dict, x: int, y: int):
     if scale == 0:
         return []
     coeffs = np.where(np.abs(coeffs) > 1e-10 * scale, coeffs, 0)
-    roots = _poly_roots(coeffs[::-1])
-    return cluster_roots(roots)
+    return _root_clusters(coeffs[::-1])
 
 
 def _binomial_roots(equations, active_vars, tol):
@@ -487,8 +482,9 @@ def solve(system: LeadingSystem, tol: float = RESIDUAL_TOL) -> SolveResult:
     return solve_equations(projected, labels, tol=tol)
 
 
-def solve_partial(P, u, l0: int, coefficients=None,
+def solve_partial(P, u, l0: Optional[int], coefficients=None,
                   tol: float = RESIDUAL_TOL) -> SolveResult:
-    """Assemble and solve only the equations of levels up to ``l0``."""
+    """Assemble and solve only the equations of levels up to ``l0``, or
+    of every level when ``l0`` is ``None``."""
     system = leading_equations(P, u, cutoff=l0, coefficients=coefficients)
     return solve(system, tol=tol)

@@ -132,6 +132,69 @@ class TestReports:
                    "--bulk", '{"1": {"exp_b0": -0.5, "b_plus": "T^1/2"}}'])
         assert rc == 0
 
+    def test_solve_cutoff_json(self, twoblow_file, capsys):
+        # the level-1 equation alone: y1 = +-1 with y2 unconstrained
+        rc, out = run_json(capsys, ["solve", "--polytope", twoblow_file,
+                                    "--u", "13/40,3/10", "--cutoff", "1"])
+        assert rc == 0
+        doc = json.loads(out)
+        assert (doc["path"], doc["certified"]) == ("a", True)
+        values = [s["values"] for s in doc["solutions"]]
+        assert [list(v) for v in values] == [["Y1_1"], ["Y1_1"]]
+        assert [round(v["Y1_1"][0], 9) for v in values] == [-1, 1]
+
+    def test_classify_lift_order_json(self, twoblow_file, capsys):
+        rc, out = run_json(capsys, ["classify", "--polytope", twoblow_file,
+                                    "--u", "13/40,3/10", "--lift-order", "2"])
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["status"] == "BulkBalanced"
+        lift = doc["lift"]
+        assert (lift["order"], lift["residual_valuation"]) == ("2", "inf")
+        assert sorted(lift) == ["bulk", "order", "residual_valuation", "y"]
+
+
+class TestInputForms:
+    """``--coeffs``, ``--bulk`` and ``--polytope`` in each accepted form."""
+
+    # at u = (3/10, 3/10) a coefficient c on facet 1 gives (y1, y2) =
+    # (1 - c, -1)
+    @pytest.mark.parametrize("spec", ['{"1": [1, 1]}', '{"1": "1 + 1j"}'])
+    def test_complex_coefficients(self, twoblow_file, capsys, spec):
+        rc, out = run_json(capsys, ["solve", "--polytope", twoblow_file,
+                                    "--u", "3/10,3/10", "--coeffs", spec])
+        assert rc == 0
+        solution, = json.loads(out)["solutions"]
+        y = {k: complex(*v) for k, v in solution["values"].items()}
+        assert abs(y["Y1_1"] + 1j) < 1e-9 and abs(y["Y1_2"] + 1) < 1e-9
+
+    def test_json_arguments_from_file(self, twoblow_file, tmp_path, capsys):
+        coeffs, bulk = '{"1": [1, 1]}', '{"1": "1*T^1/100"}'
+        (tmp_path / "coeffs.json").write_text(coeffs)
+        (tmp_path / "bulk.json").write_text(bulk)
+        outputs = []
+        for c, b in [(coeffs, bulk), ("@" + str(tmp_path / "coeffs.json"),
+                                      "@" + str(tmp_path / "bulk.json"))]:
+            assert main(["solve", "--polytope", twoblow_file,
+                         "--u", "3/10,3/10", "--coeffs", c, "--json"]) == 0
+            assert main(["potential", "--polytope", twoblow_file,
+                         "--u", "1/3,3/10", "--mode", "float", "--trunc",
+                         "1", "--bulk", b, "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "1/100" in outputs[0]
+
+    def test_example_polytope_spec(self, capsys):
+        rc, out = run_json(capsys, ["solve", "--polytope", "example:cpn:2",
+                                    "--u", "1/3,1/3", "--require-certified"])
+        assert rc == 0
+        points = [[complex(*v) for v in s["values"].values()]
+                  for s in json.loads(out)["solutions"]]
+        # the centre of CP^2: y1 = y2 = each cube root of unity
+        assert len(points) == 3
+        for y1, y2 in points:
+            assert abs(y1 - y2) < 1e-9 and abs(y1 ** 3 - 1) < 1e-9
+
 
 class TestExitCodes:
     def test_unknown_subcommand_exits_1(self):

@@ -16,7 +16,7 @@ from toricpot import (FLOAT, INF, BulkDeformation, MomentPolytope,
                       case_analysis_two_point, fano_bulk_potential,
                       leading_equations, leading_potential, lift_bulk,
                       lift_point, solution_to_torus, solve)
-from toricpot import lifting
+from toricpot import lifting, solver
 from toricpot.errors import (BadGenerator, BadKahlerParams,
                              DegenerateCritical, MonoidOverflow, OutOfScope)
 from toricpot.lifting import (LIFT_TOL, _exp, _inverse, _monoid_close,
@@ -252,6 +252,21 @@ class TestCaseAnalysis:
             # cubic relation for the secondary variable
             val = s.d_bar ** 2 * (s.d_bar + w) + 2
             assert abs(val) < 1e-8
+
+    @pytest.mark.parametrize("w", [1, 2, Fraction(1, 2)])
+    def test_case_one_roots_in_solver_order(self, w):
+        # for w > 0 the roots of d^2 = -2/w are conjugate imaginaries whose
+        # real parts are roundoff; the order must not rest on their signs
+        reports = case_analysis_two_point(Fraction(2, 5), w, Fraction(1, 100))
+        assert reports[0].case == 1
+        got = [s.d_bar for s in reports[0].solutions]
+        assert got[0].imag < 0 < got[1].imag
+        assert got == sorted(got, key=lambda z: solver._root_key((z,)))
+        # solve_equations orders the roots of the same equation alike
+        result = solver.solve_equations([{(2,): 1, (0,): 2 / complex(w)}],
+                                        [(1, 1)])
+        want = [s.values[(1, 1)] for s in result.solutions]
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestSolutionToTorus:
@@ -646,7 +661,7 @@ def _reference_case_lifts(alpha, w, kappa, N):
         {1: NovikovSeries.monomial(complex(w), kappa, mode=FLOAT)},
         mode=FLOAT)
     out = []
-    for r in case_analysis_two_point(alpha, w, kappa, N=N, lift=False):
+    for r in case_analysis_two_point(alpha, w, kappa):
         F = fano_bulk_potential(P, r.u, bulk, trunc=Fraction(N) + 1)
         Ft = F.to_float().truncate_coefficients(Fraction(N) + 1)
         lifts = []

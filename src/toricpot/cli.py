@@ -9,8 +9,7 @@ from fractions import Fraction
 
 from .classify import balanced_locus, classify_fiber, report_bounds, scan
 from .errors import ToricPotError
-from .leading import (_assemble_system, flag_basis, leading_equations,
-                      level_structure)
+from .leading import leading_equations
 from .lifting import case_analysis_two_point, lift_bulk, lift_point
 from .novikov import EXACT, FLOAT, INF, NovikovSeries, parse_series
 from .polytope import EXAMPLE_NAMES, MomentPolytope, build_example
@@ -19,15 +18,6 @@ from .potential import (BulkDeformation, BulkEntry, fano_bulk_potential,
 from .solver import solve, solve_partial
 
 SCHEMA = 1
-
-REPRO_NAMES = (
-    "cp1-residue",
-    "one-point-blowup-A2",
-    "two-point-blowup-cases",
-    "two-point-blowup-scan",
-    "three-point-blowup-scan",
-    "generalized-lte",
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,6 +62,20 @@ def _load_polytope(spec: str) -> MomentPolytope:
         return build_example(name, *[_frac(p) for p in params])
     with open(spec, "r", encoding="utf-8") as fh:
         return MomentPolytope.from_dict(json.load(fh))
+
+
+def _load_fiber(args):
+    """The polytope and the interior point named by ``--polytope`` and
+    ``--u``."""
+    return _load_polytope(args.polytope), _parse_u(args.u)
+
+
+def _fiber_potential(args, P, u, mode, trunc):
+    """The potential at ``u``, deformed by the ``--bulk`` weights if any."""
+    if args.bulk:
+        bulk = _parse_bulk(args.bulk, mode, args.tol, trunc)
+        return fano_bulk_potential(P, u, bulk, trunc=trunc, tol=args.tol)
+    return leading_potential(P, u, mode=mode, trunc=trunc, tol=args.tol)
 
 
 def _parse_bulk(spec, mode, tol, trunc) -> BulkDeformation:
@@ -192,15 +196,9 @@ def _cmd_polytope(args):
 
 
 def _cmd_potential(args):
-    P = _load_polytope(args.polytope)
-    u = _parse_u(args.u)
-    mode = args.mode
+    P, u = _load_fiber(args)
     trunc = _frac(args.trunc) if args.trunc else INF
-    if args.bulk:
-        bulk = _parse_bulk(args.bulk, mode, args.tol, trunc)
-        F = fano_bulk_potential(P, u, bulk, trunc=trunc, tol=args.tol)
-    else:
-        F = leading_potential(P, u, mode=mode, trunc=trunc, tol=args.tol)
+    F = _fiber_potential(args, P, u, args.mode, trunc)
     names = [f"y{i+1}" for i in range(P.n)]
     payload = {"n": P.n, "terms": [
         {"exponents": list(e), "coefficient": c.to_records(),
@@ -212,12 +210,11 @@ def _cmd_potential(args):
 
 
 def _cmd_leading(args):
-    P = _load_polytope(args.polytope)
-    u = _parse_u(args.u)
+    P, u = _load_fiber(args)
     coeffs = _parse_coeffs(args.coeffs)
-    ls = level_structure(P, u)
-    fb = flag_basis(ls)
-    system = _assemble_system(ls, fb, args.cutoff, coeffs)
+    system = leading_equations(P, u, args.cutoff, coeffs)
+    fb = system.basis
+    ls = fb.structure
     names = [f"y[{l},{s}]" for l, s in fb.labels]
     payload = {
         "levels": [{"S": str(lev.S),
@@ -248,8 +245,7 @@ def _cmd_leading(args):
 
 
 def _cmd_solve(args):
-    P = _load_polytope(args.polytope)
-    u = _parse_u(args.u)
+    P, u = _load_fiber(args)
     coeffs = _parse_coeffs(args.coeffs)
     result = solve_partial(P, u, args.cutoff, coefficients=coeffs,
                            tol=args.tol)
@@ -273,8 +269,7 @@ def _cmd_solve(args):
 
 
 def _cmd_lift(args):
-    P = _load_polytope(args.polytope)
-    u = _parse_u(args.u)
+    P, u = _load_fiber(args)
     N = _frac(args.order)
     point = _parse_point(args.solution)
     if args.kind == "bulk":
@@ -298,12 +293,7 @@ def _cmd_lift(args):
         for i, e in sorted(bulk.items()):
             lines.append(f"  facet {i}: {_series_repr(e.plus)}")
     else:
-        trunc = N + 1
-        if args.bulk:
-            bulk = _parse_bulk(args.bulk, FLOAT, args.tol, trunc)
-            F = fano_bulk_potential(P, u, bulk, trunc=trunc, tol=args.tol)
-        else:
-            F = leading_potential(P, u, mode=FLOAT, trunc=trunc, tol=args.tol)
+        F = _fiber_potential(args, P, u, FLOAT, N + 1)
         y, kv = lift_point(F, point, N, tol=args.tol)
         payload = {
             "y": [s.to_records() for s in y],
@@ -323,8 +313,7 @@ def _fiber_payload(rep):
 
 
 def _cmd_classify(args):
-    P = _load_polytope(args.polytope)
-    u = _parse_u(args.u)
+    P, u = _load_fiber(args)
     coeffs = _parse_coeffs(args.coeffs)
     lift_order = _frac(args.lift_order) if args.lift_order else None
     rep = classify_fiber(P, u, coefficients=coeffs, lift_order=lift_order,
@@ -580,10 +569,21 @@ def _cmd_repro(args):
 # -- entry point ------------------------------------------------------------
 
 def _build_parser():
+    def parent(*flags, parents=(), **kwargs):
+        """A parent parser declaring one option shared by subcommands."""
+        p = argparse.ArgumentParser(add_help=False, parents=parents)
+        p.add_argument(*flags, **kwargs)
+        return p
+
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-9)
     common.add_argument("--json", action="store_true",
                         help="emit a canonical JSON report")
+    polytope = parent("--polytope", required=True)
+    fiber = parent("--u", required=True, parents=[polytope])
+    coeffs = parent("--coeffs")
+    cutoff = parent("--cutoff", type=int)
+    bulk = parent("--bulk")
 
     parser = _Parser(prog="toricpot",
                      description="Potential functions, leading term "
@@ -601,58 +601,39 @@ def _build_parser():
     pe.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_polytope)
 
-    p = sub.add_parser("potential", parents=[common])
-    p.add_argument("--polytope", required=True)
-    p.add_argument("--u", required=True)
-    p.add_argument("--bulk", default=None)
+    p = sub.add_parser("potential", parents=[common, fiber, bulk])
     p.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
     p.add_argument("--trunc", default=None,
                    help="truncation order for series output")
     p.set_defaults(func=_cmd_potential)
 
-    p = sub.add_parser("leading", parents=[common])
-    p.add_argument("--polytope", required=True)
-    p.add_argument("--u", required=True)
-    p.add_argument("--cutoff", type=int, default=None)
-    p.add_argument("--coeffs", default=None)
+    p = sub.add_parser("leading", parents=[common, fiber, cutoff, coeffs])
     p.set_defaults(func=_cmd_leading)
 
-    p = sub.add_parser("solve", parents=[common])
-    p.add_argument("--polytope", required=True)
-    p.add_argument("--u", required=True)
-    p.add_argument("--coeffs", default=None)
-    p.add_argument("--cutoff", type=int, default=None)
+    p = sub.add_parser("solve", parents=[common, fiber, coeffs, cutoff])
     p.add_argument("--require-certified", action="store_true")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("lift", parents=[common])
+    p = sub.add_parser("lift", parents=[common, fiber, bulk])
     p.add_argument("kind", choices=["bulk", "point"])
-    p.add_argument("--polytope", required=True)
-    p.add_argument("--u", required=True)
     p.add_argument("--solution", required=True,
                    help="comma-separated complex coordinates")
     p.add_argument("--order", required=True)
-    p.add_argument("--bulk", default=None)
     p.add_argument("--generators", default=None,
                    help="comma-separated extra monoid generators")
     p.set_defaults(func=_cmd_lift)
 
-    p = sub.add_parser("classify", parents=[common])
-    p.add_argument("--polytope", required=True)
-    p.add_argument("--u", required=True)
-    p.add_argument("--coeffs", default=None)
+    p = sub.add_parser("classify", parents=[common, fiber, coeffs])
     p.add_argument("--lift-order", default=None)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("scan", parents=[common])
-    p.add_argument("--polytope", required=True)
+    p = sub.add_parser("scan", parents=[common, polytope, coeffs])
     p.add_argument("--step", required=True)
     p.add_argument("--row", default=None, help='e.g. "u2=3/10"')
-    p.add_argument("--coeffs", default=None)
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("repro", parents=[common])
-    p.add_argument("name", choices=REPRO_NAMES)
+    p.add_argument("name", choices=list(_REPROS))
     p.add_argument("--alpha", default=None)
     p.add_argument("--w", default=None)
     p.add_argument("--kappa", default=None)

@@ -14,8 +14,8 @@ an order is an int index ``j`` standing for ``j/q``, and a series of
 valuation >= 0 truncated at ``T^N`` is a complex vector of length
 ``cap = qN``.  The bulk lift keeps the monoid of admissible weight
 orders as a bool vector on that grid, closed under each new generator
-by ``_monoid_close``; its grid is bounded by ``cap <= 10**6``.  Newton
-lifting runs on ``_NewtonGrid``; a grid with ``cap`` above
+by ``_monoid_close``; Newton lifting runs on ``_NewtonGrid``.  Both
+take their grid from one rule, ``_grid``: a grid with ``cap`` above
 ``MAX_LIFT_CAP`` raises :class:`MonoidOverflow` before anything is
 allocated.
 
@@ -46,6 +46,7 @@ from .solver import LeadingSolution, _root_clusters
 
 LIFT_TOL = 1e-9
 MAX_BULK_STEPS = 500    # weight corrections a bulk lift makes at most
+MAX_LIFT_CAP = 10_000   # longest exponent grid a lift allocates
 
 
 @dataclass
@@ -109,6 +110,19 @@ def lift_bulk(P: MomentPolytope, u, sol, N, gens=(), tol=LIFT_TOL):
     return _lift_bulk(P, u, ls, fb, sol, N, gens, tol)
 
 
+def _grid(N, exponents):
+    """The exponent grid ``(q, cap)`` of a lift to order ``N``: ``q`` is
+    the lcm of the denominators of ``N`` and of ``exponents``, and
+    ``cap = qN``, at most ``MAX_LIFT_CAP``."""
+    q = math.lcm(N.denominator, *(x.denominator for x in exponents))
+    cap = int(N * q)
+    if cap > MAX_LIFT_CAP:
+        raise MonoidOverflow(
+            f"exponent grid q={q}, cap={cap} exceeds the lifting bound "
+            f"cap <= {MAX_LIFT_CAP}")
+    return q, cap
+
+
 def _monoid_close(reach, g):
     """Close the bool vector ``reach`` in place under adding the int
     ``g > 0``: a running OR along each residue class mod ``g``."""
@@ -138,12 +152,7 @@ def _lift_bulk(P: MomentPolytope, u, ls, fb, sol, N, gens=(), tol=LIFT_TOL):
     else:
         y = [complex(c) for c in sol]
     ell = [f.ell(u) for f in P.facets]
-    q = math.lcm(N.denominator, *(x.denominator for x in ell),
-                 *(g.denominator for g in gens))
-    cap = int(N * q)
-    if cap > 1_000_000:
-        raise MonoidOverflow(
-            f"exponent grid of size {cap} exceeds the supported range")
+    q, cap = _grid(N, ell + gens)
     at = [int(x * q) for x in ell]
     yv = [_monomial(y, f.v) for f in P.facets]
     normals = np.array([[complex(p) for p in f.v] for f in P.facets])
@@ -356,7 +365,6 @@ def case_analysis_two_point(alpha, w, kappa, N=None):
 # A product of grid vectors is a truncated convolution.  Series Newton
 # and inversion by doubling follow Brent & Kung, J. ACM 25 (1978).
 
-MAX_LIFT_CAP = 10_000   # longest grid a Newton lift allocates
 MAX_NEWTON_ITER = 80    # Newton iterations a point lift makes at most
 
 
@@ -454,12 +462,7 @@ class _NewtonGrid:
         if any(x < 0 for x in exps):
             raise OutOfScope("Newton lifting needs coefficients and starting "
                              "points of valuation >= 0")
-        q = math.lcm(N.denominator, *(x.denominator for x in exps))
-        cap = int(N * q)
-        if cap > MAX_LIFT_CAP:
-            raise MonoidOverflow(
-                f"exponent grid q={q}, cap={cap} exceeds the Newton lifting "
-                f"bound cap <= {MAX_LIFT_CAP}")
+        q, cap = _grid(N, exps)
         self.N, self.q, self.cap, self.tol = N, q, cap, tol
         self.n = F.n
         self.E = np.array([e for _, e in terms], dtype=float).reshape(-1, F.n)
@@ -610,7 +613,7 @@ class _NewtonGrid:
     def _series(self, a):
         """The float series of a grid vector, without its noise."""
         mag = np.abs(a)
-        idx = np.flatnonzero((mag > self.tol) & (mag >= DEFAULT_TOL))
+        idx = np.flatnonzero(mag > self.tol)
         return NovikovSeries._from_indices(
             self.q, idx.tolist(), a[idx].tolist(), self.cap, FLOAT,
             DEFAULT_TOL)

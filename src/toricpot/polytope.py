@@ -312,7 +312,10 @@ def build_example(name: str, *params) -> MomentPolytope:
             facets.append((vnew, lnew))
             vb, lb = vnew, lnew
         k = 2 + len(epsilons)
-        return MomentPolytope(2, facets, name=f"{k}_point_blowup", fano=False)
+        # one cut gives the hexagon fan of the Fano three-point blow-up;
+        # a second leaves a (-2)-curve
+        return MomentPolytope(2, facets, name=f"{k}_point_blowup",
+                              fano=k <= 3)
     if name == "one_point_blowup_monotone":
         facets = [
             ((1, 0), 0),

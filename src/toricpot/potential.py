@@ -51,11 +51,6 @@ class PotentialFunction:
         return (isinstance(other, PotentialFunction)
                 and self.n == other.n and self.terms == other.terms)
 
-    def __add__(self, other):
-        if isinstance(other, PotentialFunction):
-            return PotentialFunction(self.n, self.terms + other.terms)
-        raise TypeError("can only add potentials")
-
     def coefficient(self, expvec) -> NovikovSeries:
         expvec = tuple(int(x) for x in expvec)
         for c, e in self.terms:
@@ -63,27 +58,34 @@ class PotentialFunction:
                 return c
         return NovikovSeries.zero(mode=self.mode, tol=self.tol)
 
-    def log_derivative(self, k: int) -> "PotentialFunction":
-        """Apply ``y_k d/dy_k``: each term scaled by its k-th exponent."""
-        if not 1 <= k <= self.n:
-            raise ValueError("variable index out of range")
-        return PotentialFunction(
-            self.n, [(c.scale(e[k - 1]), e) for c, e in self.terms
-                     if e[k - 1] != 0])
-
-    def evaluate(self, y) -> NovikovSeries:
-        """Evaluate at a point with unit Novikov-series coordinates."""
+    def _term_values(self, y):
+        """``(c_t y^(e_t), e_t)`` for each term ``c_t y^(e_t)`` at the unit
+        point ``y``, each ``y_i`` raised to its power once per term."""
         y = [self._as_unit(c) for c in y]
         if len(y) != self.n:
             raise ValueError("point has wrong dimension")
-        total = NovikovSeries.zero(mode=self.mode, tol=self.tol)
+        values = []
         for coeff, expvec in self.terms:
             value = coeff
             for yi, fi in zip(y, expvec):
                 if fi:
                     value = value * (yi ** fi)
-            total = total + value
+            values.append((value, expvec))
+        return values
+
+    def _weighted_sum(self, values, weight):
+        """``sum_t weight(e_t) V_t`` over term values ``(V_t, e_t)``; a
+        weight of 1 adds the value unscaled."""
+        total = NovikovSeries.zero(mode=self.mode, tol=self.tol)
+        for value, expvec in values:
+            w = weight(expvec)
+            if w:
+                total = total + (value if w == 1 else value.scale(w))
         return total
+
+    def evaluate(self, y) -> NovikovSeries:
+        """Evaluate at a point with unit Novikov-series coordinates."""
+        return self._weighted_sum(self._term_values(y), lambda e: 1)
 
     def _as_unit(self, c):
         if not isinstance(c, NovikovSeries):
@@ -94,19 +96,20 @@ class PotentialFunction:
         return c
 
     def gradient_residual(self, y):
-        """All logarithmic derivatives at ``y`` and their least valuation."""
-        residuals = [self.log_derivative(k + 1).evaluate(y)
+        """All logarithmic derivatives ``y_k dF/dy_k = sum_t e_(t,k) V_t``
+        at ``y`` and their least valuation."""
+        values = self._term_values(y)
+        residuals = [self._weighted_sum(values, lambda e: e[k])
                      for k in range(self.n)]
         min_val = min((r.valuation() for r in residuals), default=INF)
         return residuals, min_val
 
     def hessian(self, y) -> "HessianData":
-        """Second logarithmic derivatives, determinant, residue pairing."""
-        matrix = []
-        for i in range(self.n):
-            row_src = self.log_derivative(i + 1)
-            matrix.append([row_src.log_derivative(j + 1).evaluate(y)
-                           for j in range(self.n)])
+        """Second logarithmic derivatives ``sum_t e_(t,i) e_(t,j) V_t``,
+        their determinant and the residue pairing."""
+        values = self._term_values(y)
+        matrix = [[self._weighted_sum(values, lambda e: e[i] * e[j])
+                   for j in range(self.n)] for i in range(self.n)]
         d = _series_det(matrix, self.mode, self.tol)
         degenerate = d.is_zero
         pairing = None if degenerate else d.inverse()
@@ -185,17 +188,26 @@ class BulkDeformation:
             i, BulkEntry(NovikovSeries.zero(mode=self.mode, tol=self.tol)))
 
     def exp_factor(self, i: int, trunc=INF) -> NovikovSeries:
-        entry = self.entry(i)
-        plus = entry.plus
-        if trunc is not INF and plus.trunc is INF and not plus.is_zero:
-            plus = plus.truncate(trunc)
-        factor = plus.exp()
-        if entry.unit != 1:
-            factor = factor.scale(entry.unit)
-        return factor
+        return _entry_exp(self.entry(i), trunc)
 
     def items(self):
         return self.entries.items()
+
+
+def _entry_exp(entry: BulkEntry, trunc, inverse=False) -> NovikovSeries:
+    """``unit * exp(plus)`` of a facet weight, or with ``inverse`` its
+    inverse ``unit^-1 * exp(-plus)``; an exact ``plus`` is truncated at
+    ``trunc`` first."""
+    plus, unit = entry.plus, entry.unit
+    if inverse:
+        plus = -plus
+        unit = unit if unit == 1 else 1 / unit
+    if trunc is not INF and plus.trunc is INF and not plus.is_zero:
+        plus = plus.truncate(trunc)
+    factor = plus.exp()
+    if unit != 1:
+        factor = factor.scale(unit)
+    return factor
 
 
 def leading_potential(P: MomentPolytope, u, mode=EXACT, trunc=INF,
@@ -217,13 +229,13 @@ def fano_bulk_potential(P: MomentPolytope, u, bulk: BulkDeformation,
     Valid for the Fano examples: each facet term of the leading potential
     is multiplied by the exponential of that facet's divisor weight.
     """
-    return _fano_bulk_terms(P, u, bulk, trunc, tol)[0]
+    return PotentialFunction(P.n, _fano_bulk_terms(P, u, bulk, trunc, tol)[0])
 
 
 def _fano_bulk_terms(P: MomentPolytope, u, bulk: BulkDeformation, trunc,
                      tol):
-    """``fano_bulk_potential`` and the factors exp(b_i) it multiplied in,
-    one per facet."""
+    """The facet terms ``(T^(ell_i(u)) exp(b_i), v_i)`` of
+    ``fano_bulk_potential`` and the factors exp(b_i), one per facet."""
     if P.fano is False:
         raise OutOfScope(
             f"{P.name or 'polytope'} is not marked Fano; the closed product "
@@ -238,7 +250,7 @@ def _fano_bulk_terms(P: MomentPolytope, u, bulk: BulkDeformation, trunc,
                                        tol=tol)
         factors.append(bulk.exp_factor(i, trunc=trunc))
         terms.append((coeff * factors[-1], f.v))
-    return PotentialFunction(P.n, terms), factors
+    return terms, factors
 
 
 def with_gapped_tail(base: PotentialFunction, P: MomentPolytope, u,
@@ -274,38 +286,25 @@ def with_gapped_tail(base: PotentialFunction, P: MomentPolytope, u,
 def euler_check(P: MomentPolytope, bulk: BulkDeformation, u, N):
     """Check the Euler vector-field identity for degree-two weights.
 
-    The weight variable of facet ``i`` is its exponential factor; the
-    Euler field applies each weight times the derivative in that weight,
-    which regenerates exactly the facet terms.  Both sides are computed
-    mod ``T^(N+1)`` and compared mod ``T^N``; in float mode coefficients
-    up to ``EULER_RTOL`` are pruning noise.  Returns (equal, residual).
+    The weight variable of facet ``i`` is its exponential factor ``w_i``;
+    the Euler field applies each weight times the derivative in that
+    weight, which regenerates exactly the facet term ``F_i``, so each
+    ``w_i dF/dw_i - F_i`` must vanish.  Both sides are computed mod
+    ``T^(N+1)`` and compared mod ``T^N``; in float mode coefficients up
+    to ``EULER_RTOL`` are pruning noise.  Returns (equal, residual).
     """
     N = as_exponent(N)
     # headroom for the mod-T^N comparison
     work_trunc = N if N is INF else N + 1
-    F, weights = _fano_bulk_terms(P, u, bulk, work_trunc, bulk.tol)
-    euler_terms = []
-    for i, (f, w_i) in enumerate(zip(P.facets, weights)):
+    terms, weights = _fano_bulk_terms(P, u, bulk, work_trunc, bulk.tol)
+    residual = INF
+    for i, ((F_i, _), w_i) in enumerate(zip(terms, weights)):
         # derivative in the weight variable: divide the facet term by the
         # weight, inverting through the exponential of the negated entry
         # (the geometric-series inverse amplifies roundoff badly)
-        entry = bulk.entry(i)
-        unit = entry.unit
-        inv_unit = unit if unit == 1 else 1 / unit
-        inv_bulk = BulkDeformation({0: BulkEntry(-entry.plus, unit=inv_unit)},
-                                   mode=bulk.mode, tol=bulk.tol)
-        dF_dw = F.coefficient(f.v) * inv_bulk.exp_factor(0, trunc=work_trunc)
-        euler_terms.append((dF_dw * w_i, f.v))
-    euler = PotentialFunction(P.n, euler_terms)
-    residual = INF
-    for c, _ in (euler + _negate(F)).terms:
-        c = c.truncate(N)
-        for e, a in c.terms:
+        dF_dw = F_i * _entry_exp(bulk.entry(i), work_trunc, inverse=True)
+        for e, a in (dF_dw * w_i - F_i).truncate(N).terms:
             if bulk.mode == FLOAT and abs(a) <= EULER_RTOL:
                 continue
             residual = min(residual, e)
     return residual is INF, residual
-
-
-def _negate(F: PotentialFunction) -> PotentialFunction:
-    return PotentialFunction(F.n, [(-c, e) for c, e in F.terms])

@@ -340,6 +340,16 @@ class TestLargeGrid:
         with pytest.raises(MonoidOverflow, match=r"q=14, cap=2000002"):
             lift_point(F, [1], N)
 
+    def test_bulk_lift_shares_the_grid_bound(self):
+        # cp1 at its centre: q = 2, so order N is the grid cap = 2N
+        P = build_example("cp1")
+        u = (Fraction(1, 2),)
+        assert lifting.MAX_LIFT_CAP == 10_000
+        bulk, _, cert = lift_bulk(P, u, [1], Fraction(10_000, 2))
+        assert not bulk.entries and cert.steps == []
+        with pytest.raises(MonoidOverflow, match=r"q=2, cap=10001"):
+            lift_bulk(P, u, [1], Fraction(10_001, 2))
+
 
 class TestOutputSeries:
     def test_lifted_series_are_canonical(self):

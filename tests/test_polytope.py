@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from toricpot import MomentPolytope, Monomial, NovikovSeries, build_example
+from toricpot import (MomentPolytope, Monomial, NovikovSeries, build_example,
+                      lattice)
 from toricpot.errors import BadKahlerParams, NotInLambda0P
 
 
@@ -27,6 +28,31 @@ class TestExamples:
         P = build_example(name, *params)
         report = P.validate()
         assert report.valid, report.failures
+
+    @pytest.mark.parametrize("name,params", [
+        ("cp1", ()),
+        ("cpn", (2,)),
+        ("cpn", (3,)),
+        ("two_point_blowup", (Fraction(2, 5), Fraction(3, 10))),
+        ("k_point_blowup", (Fraction(2, 5),)),
+        ("k_point_blowup", (Fraction(2, 5), Fraction(1, 50))),
+        ("k_point_blowup", (Fraction(2, 5), Fraction(1, 50),
+                            Fraction(1, 100))),
+        ("one_point_blowup_monotone", ()),
+    ])
+    def test_fano_label_matches_fan(self, name, params):
+        # -K is ample iff at each vertex the m with <v_i, m> = -1 on the
+        # active facets has <v_j, m> > -1 on every other facet
+        P = build_example(name, *params)
+        fano = True
+        for vertex in P.vertices():
+            assert len(vertex.active) == P.n
+            m = lattice.solve([P.facets[i].v for i in vertex.active],
+                              [-1] * P.n)
+            fano &= all(sum(a * b for a, b in zip(f.v, m)) > -1
+                        for j, f in enumerate(P.facets)
+                        if j not in vertex.active)
+        assert P.fano is fano
 
     def test_cp1_vertices(self):
         P = build_example("cp1")

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricpot import (EXACT, FLOAT, INF, BulkDeformation, BulkEntry,
                       NovikovSeries, PotentialFunction, build_example,
@@ -77,7 +79,9 @@ class TestBulkDeformation:
         assert abs(c.coefficient(ell + Fraction(1, 100)) - w) < 1e-12
 
     def test_non_fano_out_of_scope(self):
-        P = build_example("k_point_blowup", Fraction(2, 5), Fraction(1, 50))
+        # the second cut leaves a (-2)-curve
+        P = build_example("k_point_blowup", Fraction(2, 5), Fraction(1, 50),
+                          Fraction(1, 100))
         with pytest.raises(OutOfScope):
             fano_bulk_potential(P, (Fraction(13, 40), Fraction(3, 10)),
                                 BulkDeformation.zero(mode=FLOAT), trunc=1)
@@ -176,3 +180,98 @@ class TestEulerIdentity:
         bulk = BulkDeformation(entries, mode=FLOAT)
         equal, residual = euler_check(P, bulk, u, N=5)
         assert equal, f"Euler identity residual {residual}"
+
+
+# -- reference: derive-then-evaluate, as PotentialFunction did before ------
+#
+# Each logarithmic derivative was built as a potential of its own, with
+# every coefficient scaled by its exponent, and then evaluated term by term.
+
+def _ref_log_derivative(F, k):
+    return PotentialFunction(F.n, [(c.scale(e[k]), e) for c, e in F.terms
+                                   if e[k] != 0])
+
+
+def _ref_evaluate(F, y):
+    total = NovikovSeries.zero(mode=F.mode, tol=F.tol)
+    for coeff, expvec in F.terms:
+        value = coeff
+        for yi, fi in zip(y, expvec):
+            if fi:
+                value = value * (yi ** fi)
+        total = total + value
+    return total
+
+
+def _ref_gradient(F, y):
+    return [_ref_evaluate(_ref_log_derivative(F, k), y) for k in range(F.n)]
+
+
+def _ref_hessian(F, y):
+    return [[_ref_evaluate(_ref_log_derivative(_ref_log_derivative(F, i), j),
+                           y) for j in range(F.n)] for i in range(F.n)]
+
+
+@st.composite
+def _potential_at_unit_point(draw, mode):
+    """A potential in n <= 3 variables and a point with unit coordinates;
+    float data are multiples of 1/7, so that no sum cancels to near the
+    pruning tolerance, and the series themselves prune nothing."""
+    n = draw(st.integers(1, 3))
+    trunc = Fraction(draw(st.integers(1, 3)))
+    tol = 0.0 if mode == FLOAT else 1e-10
+
+    def scalar(nonzero=False):
+        lo = 1 if nonzero else 0
+        if mode == EXACT:
+            sign = draw(st.sampled_from([1, -1]))
+            return sign * Fraction(draw(st.integers(lo, 9)),
+                                   draw(st.integers(1, 4)))
+        return complex(draw(st.integers(lo, 9)),
+                       draw(st.integers(-9, 9))) / 7
+
+    def series(low, size):
+        terms = [(Fraction(draw(st.integers(low, 9)), draw(st.integers(1, 3))),
+                  scalar()) for _ in range(size)]
+        return NovikovSeries(terms, trunc=trunc, mode=mode, tol=tol)
+
+    exps = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n),
+                         min_size=1, max_size=5))
+    F = PotentialFunction(n, [(series(-3, draw(st.integers(1, 3))), e)
+                              for e in exps])
+    y = [NovikovSeries.const(scalar(nonzero=True), mode=mode, trunc=trunc,
+                             tol=tol) + series(1, draw(st.integers(0, 2)))
+         for _ in range(n)]
+    return F, y
+
+
+class TestDerivativesMatchReference:
+    @settings(max_examples=150, deadline=None)
+    @given(_potential_at_unit_point(EXACT))
+    def test_exact_equal(self, data):
+        F, y = data
+        assert F.evaluate(y) == _ref_evaluate(F, y)
+        residuals, min_val = F.gradient_residual(y)
+        assert residuals == _ref_gradient(F, y)
+        assert min_val == min(r.valuation() for r in residuals)
+        assert F.hessian(y).matrix == _ref_hessian(F, y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_potential_at_unit_point(FLOAT))
+    def test_float_within_roundoff(self, data):
+        F, y = data
+        # the largest coefficient of any term value c_t y^(e_t)
+        scale = max((abs(a) for c, e in F.terms for _, a in _ref_evaluate(
+            PotentialFunction(F.n, [(c, e)]), y).terms), default=0.0)
+
+        def close(a, b):
+            da, db = dict(a.terms), dict(b.terms)
+            return a.trunc == b.trunc and all(
+                abs(da.get(x, 0) - db.get(x, 0)) <= 1e-12 * scale
+                for x in da.keys() | db.keys())
+
+        assert close(F.evaluate(y), _ref_evaluate(F, y))
+        residuals, _ = F.gradient_residual(y)
+        assert all(map(close, residuals, _ref_gradient(F, y)))
+        for row, ref_row in zip(F.hessian(y).matrix, _ref_hessian(F, y)):
+            assert all(map(close, row, ref_row))

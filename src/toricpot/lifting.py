@@ -14,7 +14,8 @@ an order is an int index ``j`` standing for ``j/q``, and a series of
 valuation >= 0 truncated at ``T^N`` is a complex vector of length
 ``cap = qN``.  The bulk lift keeps the monoid of admissible weight
 orders as a bool vector on that grid, closed under each new generator
-by ``_monoid_close``; Newton lifting runs on ``_NewtonGrid``.  Both
+by ``_monoid_close``; Newton lifting runs on ``_NewtonGrid``, which
+lifts several starts in lockstep.  Both
 take their grid from one rule, ``_grid``: a grid with ``cap`` above
 ``MAX_LIFT_CAP`` raises :class:`MonoidOverflow` before anything is
 allocated.
@@ -36,7 +37,7 @@ import numpy as np
 from . import lattice
 from .errors import (BadGenerator, BadKahlerParams, DegenerateCritical,
                      MonoidOverflow, NoFullFlag, OutOfScope,
-                     SpanViolation)
+                     SpanViolation, ToricPotError)
 from .leading import flag_basis, level_structure
 from .novikov import DEFAULT_TOL, FLOAT, INF, NovikovSeries, as_exponent
 from .polytope import MomentPolytope, build_example
@@ -260,7 +261,7 @@ def lift_point(F: PotentialFunction, y0, N, tol=LIFT_TOL):
     iteration stops only once the gradient vanishes below ``T^N``.
     """
     y0_series = [NovikovSeries.const(complex(c), mode=FLOAT) for c in y0]
-    return _NewtonGrid(F, N, tol=tol).lift(y0_series), INF
+    return _NewtonGrid(F, N, tol=tol).lift([y0_series])[0], INF
 
 
 # -- two-point blow-up parameter study -------------------------------------
@@ -309,8 +310,9 @@ def case_analysis_two_point(alpha, w, kappa, N=None):
     Each report lists the roots ``d`` with their multiplicities in
     ``_root_key`` order.  Roots within 1e-5 of each other count as one
     multiple root, and a report with a multiple root is ``degenerate``.
-    With ``N`` given, each simple root is Newton-lifted to a critical
-    point of the deformed potential mod ``T^N``.
+    With ``N`` given, the simple roots of each case are Newton-lifted
+    together, in lockstep on one grid, to critical points of the deformed
+    potential mod ``T^N``.
     """
     alpha = Fraction(alpha)
     kappa = Fraction(kappa)
@@ -346,14 +348,14 @@ def case_analysis_two_point(alpha, w, kappa, N=None):
                 {1: NovikovSeries.monomial(w, kappa, mode=FLOAT)}, mode=FLOAT)
             F = fano_bulk_potential(P, (u1, beta), bulk,
                                     trunc=as_exponent(N) + 1)
-            grid = _NewtonGrid(F, N, (mu,))
-            for sol in solutions:
-                if sol.multiplicity == 1:
-                    sol.lifted = grid.lift([
-                        NovikovSeries.const(sol.d_bar, mode=FLOAT),
-                        NovikovSeries.const(-1, mode=FLOAT)
-                        + NovikovSeries.monomial(sol.c_bar, mu, mode=FLOAT)])
-                    sol.lift_residual_valuation = INF
+            simple = [sol for sol in solutions if sol.multiplicity == 1]
+            starts = [[NovikovSeries.const(sol.d_bar, mode=FLOAT),
+                       NovikovSeries.const(-1, mode=FLOAT)
+                       + NovikovSeries.monomial(sol.c_bar, mu, mode=FLOAT)]
+                      for sol in simple]
+            lifted = _NewtonGrid(F, N, (mu,)).lift(starts)
+            for sol, y in zip(simple, lifted):
+                sol.lifted, sol.lift_residual_valuation = y, INF
         reports.append(CaseReport(
             case, alpha, beta, w, kappa, (u1, beta), mu, solutions,
             degenerate=any(sol.multiplicity > 1 for sol in solutions)))
@@ -363,7 +365,12 @@ def case_analysis_two_point(alpha, w, kappa, N=None):
 # -- Newton lifting on the exponent grid -----------------------------------
 #
 # A product of grid vectors is a truncated convolution.  Series Newton
-# and inversion by doubling follow Brent & Kung, J. ACM 25 (1978).
+# and inversion by doubling follow Brent & Kung, J. ACM 25 (1978), and
+# von zur Gathen & Gerhard, Modern Computer Algebra, Sec. 9.1: a step
+# from m to 2m exact orders needs only the orders m..2m-1 of the
+# residual, and a unit whose orders 1..g-1 vanish starts the doubling
+# at m = g.  The Newton iterations of several starts on one grid run in
+# lockstep, so that one exponential serves all of their corrections.
 
 MAX_NEWTON_ITER = 80    # Newton iterations a point lift makes at most
 
@@ -376,16 +383,24 @@ def _first(hit):
 
 def _inverse(a, L):
     """First ``L`` coefficients of ``1/a``, ``a[0] != 0``, by Newton
-    doubling; ``a`` may be shorter than ``L``."""
-    if len(a) < L:
-        a = np.concatenate([a, np.zeros(L - len(a), dtype=complex)])
+    doubling; ``a`` may be shorter than ``L``.
+
+    When the orders ``1..g-1`` of ``a`` vanish, ``1/a[0]`` is already
+    exact below order ``g``, so doubling starts at ``m = g``.  Once ``b``
+    is exact below ``m``, ``a b`` is ``1, 0, ..., 0`` below ``m``, so each
+    step forms only the orders ``m..m2-1`` of ``a b`` and corrects ``b``
+    by them.
+    """
     b = np.zeros(max(L, 1), dtype=complex)
     b[0] = 1.0 / a[0]
-    m = 1
+    gap = np.flatnonzero(a[1:L])
+    m = int(gap[0]) + 1 if gap.size else L
+    if len(a) < L:
+        a = np.concatenate([a, np.zeros(L - len(a), dtype=complex)])
     while m < L:
         m2 = min(2 * m, L)
-        ab = np.convolve(a[:m2], b[:m])[:m2]
-        b[:m2] = 2 * b[:m2] - np.convolve(b[:m], ab)[:m2]
+        ab = np.convolve(a[:m2], b[:m])[m:m2]
+        b[m:m2] = -np.convolve(b[:m2 - m], ab)[:m2 - m]
         m = m2
     return b
 
@@ -482,9 +497,48 @@ class _NewtonGrid:
             self.shift.append((idx[0], self.C[t, idx[0]])
                               if len(idx) == 1 else None)
 
-    def lift(self, y0):
-        """Newton-correct the start ``y0`` (unit series) into a critical
-        point mod ``T^N``; returns its coordinates as float series.
+    def lift(self, starts):
+        """Newton-correct each start (a list of unit series) into a
+        critical point mod ``T^N``; returns their coordinates as float
+        series, one list per start.
+
+        The starts run in lockstep: each round advances every running
+        start's iteration (``_newton``) to its next correction, and one
+        ``_exp`` call on their stacked rows serves them all.  Its block
+        width, the least correction valuation among them, is valid for
+        every row.  If a start fails, the first failing start in start
+        order raises, as it would if the starts ran one after another:
+        the starts before it keep running, those after it are dropped.
+        """
+        runs = {k: self._newton(y0) for k, y0 in enumerate(starts)}
+        lifted = [None] * len(runs)
+        rows = dict.fromkeys(runs)
+        error = None
+        while runs:
+            deltas = {}
+            for k, run in list(runs.items()):
+                try:
+                    deltas[k] = run.send(rows[k])
+                except StopIteration as done:
+                    lifted[k] = done.value
+                    del runs[k]
+                except ToricPotError as exc:
+                    error = exc
+                    runs = {j: r for j, r in runs.items() if j < k}
+                    break
+            if deltas:
+                e = _exp(np.vstack([x for d in deltas.values()
+                                    for x in (d, -d)]))
+                rows = {k: e[2 * self.n * r:2 * self.n * (r + 1)]
+                        for r, k in enumerate(deltas)}
+        if error is not None:
+            raise error
+        return lifted
+
+    def _newton(self, y0):
+        """The Newton iteration of one start, as a generator: it yields
+        each correction ``delta`` (n x cap), is sent back the rows of
+        ``exp(delta)`` and ``exp(-delta)``, and returns the lifted series.
 
         Each iteration evaluates the term values ``V``, the gradient
         ``E^T V`` and the Hessian, measures the gradient's valuation
@@ -535,7 +589,7 @@ class _NewtonGrid:
                 # the orders >= 0, sub-threshold ones included: they are
                 # often the corrections themselves
                 delta[i] = d[-lo:]
-            e = _exp(np.vstack([delta, -delta]))
+            e = yield delta
             for i in range(self.n):
                 y[i] = np.convolve(y[i], e[i])[:cap]
                 yinv[i] = np.convolve(yinv[i], e[self.n + i])[:cap]

@@ -30,7 +30,7 @@ class PotentialFunction:
         self.n = n
         merged: dict = {}
         mode = None
-        tol = DEFAULT_TOL
+        tols = []
         for coeff, expvec in terms:
             expvec = tuple(int(x) for x in expvec)
             if len(expvec) != n:
@@ -40,12 +40,14 @@ class PotentialFunction:
             else:
                 merged[expvec] = coeff
             mode = coeff.mode
-            tol = max(tol, coeff.tol)
+            tols.append(coeff.tol)
         self.terms = tuple(sorted(
             ((c, e) for e, c in merged.items() if not c.is_zero),
             key=lambda t: t[1]))
         self.mode = mode if mode is not None else EXACT
-        self.tol = tol
+        # no DEFAULT_TOL floor, so that a smaller tolerance a caller chose
+        # for the coefficients also holds for the sums
+        self.tol = max(tols, default=DEFAULT_TOL)
 
     def __eq__(self, other):
         return (isinstance(other, PotentialFunction)
@@ -60,16 +62,21 @@ class PotentialFunction:
 
     def _term_values(self, y):
         """``(c_t y^(e_t), e_t)`` for each term ``c_t y^(e_t)`` at the unit
-        point ``y``, each ``y_i`` raised to its power once per term."""
+        point ``y``; each distinct power ``y_i^p`` is computed once per
+        call, so ``y_i^-1`` costs one series inverse however many terms
+        share it."""
         y = [self._as_unit(c) for c in y]
         if len(y) != self.n:
             raise ValueError("point has wrong dimension")
+        powers: dict = {}
         values = []
         for coeff, expvec in self.terms:
             value = coeff
-            for yi, fi in zip(y, expvec):
+            for i, fi in enumerate(expvec):
                 if fi:
-                    value = value * (yi ** fi)
+                    if (i, fi) not in powers:
+                        powers[i, fi] = y[i] ** fi
+                    value = value * powers[i, fi]
             values.append((value, expvec))
         return values
 

@@ -732,13 +732,87 @@ class TestReferenceLift:
                             1e-10 * scale, (e, a.get(e), b.get(e))
 
 
+# -- the simple roots of a case lift in lockstep ------------------------------
+
+class TestLockstep:
+    @pytest.mark.parametrize("alpha,w,kappa,N", REFERENCE_INPUTS)
+    def test_together_equals_alone(self, alpha, w, kappa, N):
+        # the lockstep _exp takes the least correction valuation of the
+        # running starts as its block width, which moves only roundoff
+        P = build_example("two_point_blowup", alpha, (1 - alpha) / 2)
+        bulk = BulkDeformation(
+            {1: NovikovSeries.monomial(complex(w), kappa, mode=FLOAT)},
+            mode=FLOAT)
+        reports = case_analysis_two_point(alpha, w, kappa, N=N)
+        scale = _lifted_scale(reports)
+        for r in reports:
+            F = fano_bulk_potential(P, r.u, bulk, trunc=Fraction(N) + 1)
+            for s in r.solutions:
+                if s.multiplicity != 1:
+                    continue
+                start = [NovikovSeries.const(s.d_bar, mode=FLOAT),
+                         NovikovSeries.const(-1, mode=FLOAT)
+                         + NovikovSeries.monomial(s.c_bar, r.mu, mode=FLOAT)]
+                [alone] = lifting._NewtonGrid(F, N, (r.mu,)).lift([start])
+                for y, ya in zip(s.lifted, alone, strict=True):
+                    a, b = dict(y.terms), dict(ya.terms)
+                    for e in set(a) | set(b):
+                        assert abs(a.get(e, 0) - b.get(e, 0)) <= \
+                            1e-12 * scale, (e, a.get(e), b.get(e))
+
+    @pytest.mark.parametrize("starts,match", [
+        ([1j, 0], "singular"),          # the 1j start fails after the 0
+        ([0, 1j], "not a unit"),
+    ])
+    def test_first_failing_start_raises(self, starts, match):
+        # as if the starts ran one after another: the start [0] fails at
+        # once, the start [1j] only in its first solve
+        P = build_example("cp1")
+        F = leading_potential(P, (Fraction(1, 2),), mode=FLOAT,
+                              trunc=Fraction(4))
+        grid = lifting._NewtonGrid(F, Fraction(3))
+        with pytest.raises(DegenerateCritical, match=match):
+            grid.lift([[NovikovSeries.const(c, mode=FLOAT)] for c in starts])
+
+    def test_earlier_start_failing_later_raises(self):
+        # y^3 - 3y^2 + 3y has the degenerate critical point y = 1: from
+        # 1 + T^(1/2) Newton halves the error, so the gradient keeps its
+        # valuation and the second iteration finds no progress, after
+        # the start [0] has already failed
+        one = NovikovSeries.one(mode=FLOAT)
+        F = PotentialFunction(1, [(one, (3,)), (one.scale(-3), (2,)),
+                                  (one.scale(3), (1,))])
+        grid = lifting._NewtonGrid(F, Fraction(3), (Fraction(1, 2),))
+        slow = [one + NovikovSeries.monomial(1, Fraction(1, 2), mode=FLOAT)]
+        with pytest.raises(DegenerateCritical, match="no progress"):
+            grid.lift([slow, [NovikovSeries.zero(mode=FLOAT)]])
+
+    def test_starts_finish_independently(self):
+        # a start that is already critical returns before the others
+        P = build_example("cp1")
+        F = leading_potential(P, (Fraction(1, 2),), mode=FLOAT,
+                              trunc=Fraction(4))
+        grid = lifting._NewtonGrid(F, Fraction(3))
+        starts = [[NovikovSeries.const(c, mode=FLOAT)
+                   + NovikovSeries.monomial(a, Fraction(1, 2), mode=FLOAT)]
+                  for c, a in ((1, 0.1), (-1, 0), (-1, 0.3j))]
+        lifted = grid.lift(starts)
+        assert [y.terms for y in lifted[1]] == [((Fraction(0), -1),)]
+        assert [[y.terms for y in ys] for ys in lifted] == \
+            [[y.terms for y in grid.lift([start])[0]] for start in starts]
+        assert grid.lift([]) == []
+
+
 # -- the engine's primitives against sparse float series --------------------
 
 @st.composite
 def grid_series(draw, valuation=0):
-    """(q, cap, series of valuation >= ``valuation``, its grid vector)."""
+    """(q, cap, series of valuation >= ``valuation``, its grid vector);
+    ``valuation=None`` draws a zero prefix of any length up to ``cap``."""
     q = draw(st.integers(1, 12))
     cap = q * draw(st.integers(1, 3))
+    if valuation is None:
+        valuation = draw(st.integers(1, cap))
     idx = draw(st.lists(st.integers(valuation, cap - 1), min_size=1,
                         max_size=6, unique=True)) if valuation < cap else []
     coeffs = [draw(st.complex_numbers(min_magnitude=0.01, max_magnitude=2))
@@ -770,16 +844,34 @@ class TestGridPrimitives:
                                (unit ** p).truncate(Fraction(cap, q)))
 
     @settings(max_examples=60, deadline=None)
-    @given(grid_series(valuation=1), st.complex_numbers(min_magnitude=0.5,
-                                                        max_magnitude=2))
-    def test_inverse(self, data, lead):
+    @given(grid_series(valuation=None), st.complex_numbers(min_magnitude=0.5,
+                                                           max_magnitude=2),
+           st.data())
+    def test_inverse(self, data, lead, draw):
+        # a zero run a[1:g] = 0 starts the doubling at g; L runs from 1
+        # through lengths that are not powers of two
         q, cap, a, va = data
+        L = draw.draw(st.integers(1, cap))
         unit = a + lead
         va[0] += lead
-        inv = _inverse(va, cap)
-        _assert_vector_matches(inv, q, unit.inverse(Fraction(cap, q)))
-        _assert_vector_matches(_power(va, -2, inv), q,
-                               (unit ** -2).truncate(Fraction(cap, q)))
+        inv = _inverse(va, L)
+        _assert_vector_matches(inv, q, unit.inverse(Fraction(L, q)))
+        _assert_vector_matches(_power(va[:L], -2, inv), q,
+                               (unit ** -2).truncate(Fraction(L, q)))
+
+    @pytest.mark.parametrize("a,L", [
+        ([2, 1], 1),                    # L = 1: nothing to double
+        ([2], 5),                       # no nonzero order: 1/a[0] alone
+        ([2, 0, 0, 0, 1], 5),           # the gap reaches L - 1
+        ([2, 0, 0, 1, 1, 0, 3], 7),     # doubling from 3 to 6, then 7
+        ([2, 0, 1], 6),
+    ])
+    def test_inverse_after_a_gap(self, a, L):
+        a = np.array(a, dtype=complex)
+        got = _inverse(a, L)
+        want = NovikovSeries([(j, complex(c)) for j, c in enumerate(a)
+                              if c], mode=FLOAT).inverse(L)
+        _assert_vector_matches(got, 1, want)
 
     @settings(max_examples=60, deadline=None)
     @given(grid_series(valuation=1), st.complex_numbers(min_magnitude=0.5,
@@ -870,17 +962,19 @@ class TestGridPrimitivesExact:
         _assert_matches_exact(got, q, want)
 
     @settings(max_examples=80, deadline=None)
-    @given(exact_grid_series(valuation=1), _units, st.data())
+    @given(exact_grid_series(valuation=None), _units, st.data())
     def test_inverse(self, data, lead, draw):
-        # also from a shorter input, as the elimination's pivot rows are
+        # also from a shorter input, as the elimination's pivot rows are,
+        # after a zero run a[1:g] = 0, and to any length L from 1 on
         q, cap, a, va = data
         k = draw.draw(st.integers(1, cap))
+        L = draw.draw(st.integers(1, cap))
         # the orders from k on count as 0
         unit = NovikovSeries([(e, c) for e, c in (a + lead).terms
                               if e < Fraction(k, q)])
         va[0] += complex(lead)
-        _assert_matches_exact(_inverse(va[:k], cap), q,
-                              unit.inverse(Fraction(cap, q)))
+        _assert_matches_exact(_inverse(va[:k], L), q,
+                              unit.inverse(Fraction(L, q)))
 
     @settings(max_examples=80, deadline=None)
     @given(exact_grid_series(valuation=None), st.data())
@@ -903,20 +997,24 @@ class TestCorrectionValuations:
         # index is its true valuation and roughly doubles per iteration.
         # Without that floor the roundoff left in the low orders of the
         # gradient gives corrections starting at 0, 1, 1, 1, 3.
+        # The starts run in lockstep, so one _exp call serves all of them;
+        # each start's corrections are read from its own iteration.
         seen = []
+        newton = lifting._NewtonGrid._newton
 
-        def exp(c):
-            seen[-1].append(int(np.flatnonzero(c.any(axis=0))[0]))
-            return _exp(c)
+        def traced_newton(self, y0):
+            valuations = []
+            seen.append(valuations)
+            run, rows = newton(self, y0), None
+            while True:
+                try:
+                    delta = run.send(rows)
+                except StopIteration as done:
+                    return done.value
+                valuations.append(int(np.flatnonzero(delta.any(axis=0))[0]))
+                rows = yield delta
 
-        lift = lifting._NewtonGrid.lift
-
-        def traced_lift(self, y0):
-            seen.append([])
-            return lift(self, y0)
-
-        monkeypatch.setattr(lifting, "_exp", exp)
-        monkeypatch.setattr(lifting._NewtonGrid, "lift", traced_lift)
+        monkeypatch.setattr(lifting._NewtonGrid, "_newton", traced_newton)
         reports = case_analysis_two_point(Fraction(2, 5), 1, Fraction(1, 10),
                                           N=3)
         assert [(r.case, r.mu) for r in reports] == [(2, Fraction(1, 30))]

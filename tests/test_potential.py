@@ -158,6 +158,39 @@ class TestCalculus:
         hd = F.hessian(y)
         assert hd.matrix[0][1] == hd.matrix[1][0]
 
+    def test_hessian_inverts_each_distinct_power_once(self, twoblow,
+                                                      monkeypatch):
+        # the terms y1^-1 y2^-1 and y2^-1 share y2^-1, so the term values
+        # take one inverse for each of y1^-1 and y2^-1, and the residue
+        # pairing takes one more
+        u = (Fraction(13, 40), Fraction(3, 10))
+        F = fano_bulk_potential(twoblow, u, BulkDeformation.zero(mode=FLOAT),
+                                trunc=2)
+        y = [NovikovSeries([(0, 1.5), (Fraction(1, 10), 0.3)], mode=FLOAT,
+                           trunc=2),
+             NovikovSeries([(0, -1.0), (Fraction(1, 40), 0.2)], mode=FLOAT,
+                           trunc=2)]
+        calls = []
+        inverse = NovikovSeries.inverse
+
+        def counted(self, *args, **kwargs):
+            calls.append(self)
+            return inverse(self, *args, **kwargs)
+
+        monkeypatch.setattr(NovikovSeries, "inverse", counted)
+        hd = F.hessian(y)
+        assert not hd.degenerate
+        assert len(calls) == 3
+
+    def test_float_tolerance_has_no_floor(self):
+        # a potential prunes at its coefficients' own tolerance, so a term
+        # below the series default of 1e-10 survives a tolerance of 0
+        c = NovikovSeries([(0, 5e-11)], mode=FLOAT, tol=0.0)
+        F = PotentialFunction(1, [(c, (1,))])
+        assert F.tol == 0.0
+        value = F.evaluate([NovikovSeries.const(1.0, mode=FLOAT, tol=0.0)])
+        assert value.terms == ((Fraction(0), 5e-11),)
+
 
 class TestEulerIdentity:
     @pytest.mark.parametrize("name,params,u", [

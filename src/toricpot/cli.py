@@ -148,16 +148,10 @@ def _monome(exponents, names):
     return "*".join(parts) or "1"
 
 
-def _scalar_str(c):
-    if isinstance(c, complex):
-        return f"{c}"
-    return str(c)
-
-
 def _equation_str(eq, names):
     chunks = []
     for e, c in sorted(eq.terms.items()):
-        chunks.append(f"({_scalar_str(c)})*{_monome(e, names)}")
+        chunks.append(f"({c!s})*{_monome(e, names)}")
     return " + ".join(chunks) + " = 0" if chunks else "0 = 0"
 
 
@@ -228,8 +222,8 @@ def _cmd_leading(args):
         "generalized": system.generalized,
         "equations": [
             {"variable": f"y[{eq.label[0]},{eq.label[1]}]",
-             "terms": [{"exponents": list(e), "coefficient":
-                        _scalar_str(c)} for e, c in sorted(eq.terms.items())]}
+             "terms": [{"exponents": list(e), "coefficient": str(c)}
+                       for e, c in sorted(eq.terms.items())]}
             for eq in system.equations],
     }
     lines = ["levels:"]
@@ -371,6 +365,7 @@ def _repro_cp1_residue(args):
            [(Fraction(1, 2),)], locus)
     half = Fraction(1, 2)
     F = leading_potential(P, [half], mode=EXACT)
+    z = {}  # residue pairing at y = sign
     for sign in (1, -1):
         y = [NovikovSeries.const(sign, mode=EXACT)]
         residuals, kv = F.gradient_residual(y)
@@ -383,10 +378,9 @@ def _repro_cp1_residue(args):
         _check(checks, f"residue pairing at y={sign}", _series_repr(pairing),
                _series_repr(hd.residue_self_pairing),
                hd.residue_self_pairing == pairing)
-    z_plus = F.hessian([NovikovSeries.const(1, mode=EXACT)]).residue_self_pairing
-    z_minus = F.hessian([NovikovSeries.const(-1, mode=EXACT)]).residue_self_pairing
+        z[sign] = hd.residue_self_pairing
     # <T^(1/2)(1_+ - 1_-), 1_+ + 1_-> with orthogonal idempotents
-    value = NovikovSeries.monomial(1, half, mode=EXACT) * (z_plus - z_minus)
+    value = NovikovSeries.monomial(1, half, mode=EXACT) * (z[1] - z[-1])
     one = NovikovSeries.one(mode=EXACT)
     _check(checks, "pairing identity", _series_repr(one),
            _series_repr(value), value == one)

@@ -222,8 +222,6 @@ def integer_coordinates(vec, basis_rows):
     dependent rows ``None`` may be returned although an integer
     combination exists: every free coefficient is set to 0.
     """
-    if not basis_rows:
-        return [] if all(x == 0 for x in vec) else None
     k = len(basis_rows)
     # solve c @ basis = vec on the augmented n x (k+1) transposed system
     m = [_int_row([b[i] for b in basis_rows] + [x])[0]

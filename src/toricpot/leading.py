@@ -32,7 +32,6 @@ class LevelStructure:
     levels: list          # of Level, ascending S
     d: list               # rank increment per level
     K: Optional[int]      # 1-based index of first full-span level, or None
-    num_level_facets: int  # facets in levels up to K (all facets when K is None)
 
     def level(self, l: int) -> Level:
         return self.levels[l - 1]
@@ -74,8 +73,7 @@ def _level_structure(P: MomentPolytope, u, ell, parts, D=1) -> LevelStructure:
             break
     K = len(d) if sum(d) == P.n else None
     d += [0] * (len(levels) - len(d))
-    count = sum(len(lev.members) for lev in levels[:K])
-    return LevelStructure(P, u, levels, d, K, count)
+    return LevelStructure(P, u, levels, d, K)
 
 
 @dataclass

@@ -75,8 +75,6 @@ def _flag_point_to_torus(fb, values: dict):
     values raised to the i-th column of the inverse basis matrix.
     """
     inv = lattice.invert(fb.rows)
-    if inv is None:
-        raise NoFullFlag("flag basis is not full; cannot map to the torus")
     assert all(e.denominator == 1 for row in inv for e in row)
     ordered = [values[lab] for lab in fb.labels]
     return [_monomial(ordered, [int(e) for e in row]) for row in inv]

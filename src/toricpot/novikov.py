@@ -65,9 +65,7 @@ def _coerce_coeff(c, mode):
     if mode == EXACT:
         if isinstance(c, Fraction):
             return c
-        if isinstance(c, int):
-            return Fraction(c)
-        if isinstance(c, str):
+        if isinstance(c, (int, str)):
             return Fraction(c)
         raise ModeMismatch(f"exact mode requires rational coefficients, got {c!r}")
     return complex(c)

@@ -153,6 +153,11 @@ class MomentPolytope:
 
     def _find_recession_ray(self):
         normals = [f.v for f in self.facets]
+        if lattice.rank(normals) < self.n:
+            # D = U N V has a zero last column, so N V e_n = 0; the zero
+            # row keeps n columns when there are no facets
+            _, _, v = lattice.smith_normal_form(normals + [(0,) * self.n])
+            return tuple(row[-1] for row in v)
         for subset in itertools.combinations(range(self.m), self.n - 1):
             rows = [normals[i] for i in subset]
             kernel = lattice.kernel_vector(rows, self.n)
@@ -264,65 +269,59 @@ EXAMPLE_NAMES = ("cp1", "cpn", "two_point_blowup", "k_point_blowup",
                  "one_point_blowup_monotone")
 
 
+def _cpn_facets(n):
+    """The facets ``u_i >= 0`` and ``u_1 + ... + u_n <= 1`` of CP^n."""
+    facets = [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
+    return facets + [((-1,) * n, -1)]
+
+
+def _cut(a, b, eps):
+    """The facet that cuts off the corner where facets ``a`` and ``b``
+    meet, at size ``eps``: normal ``v_a + v_b``, offset
+    ``lambda_a + lambda_b + eps``."""
+    (va, la), (vb, lb) = a, b
+    return tuple(x + y for x, y in zip(va, vb)), la + lb + eps
+
+
 def build_example(name: str, *params) -> MomentPolytope:
     """Construct one of the named example polytopes.
 
     Supported names: ``cp1``, ``cpn`` (dimension parameter),
     ``two_point_blowup`` (alpha, beta), ``k_point_blowup``
-    (alpha, eps3, eps4, ...), ``one_point_blowup_monotone``.
+    (alpha, eps3, eps4, ...), ``one_point_blowup_monotone``.  The
+    blow-ups are corner cuts of CP^2.
     """
     params = [Fraction(p) for p in params]
-    if name == "cp1":
-        return MomentPolytope(1, [((1,), 0), ((-1,), -1)], name="cp1",
-                              fano=True)
-    if name == "cpn":
-        n = int(params[0]) if params else 2
-        facets = [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
-        facets.append((tuple(-1 for _ in range(n)), -1))
-        return MomentPolytope(n, facets, name=f"cp{n}", fano=True)
+    if name in ("cp1", "cpn"):
+        n = 1 if name == "cp1" else int(params[0]) if params else 2
+        return MomentPolytope(n, _cpn_facets(n), name=f"cp{n}", fano=True)
+    e1, e2, e3 = _cpn_facets(2)  # u1 >= 0, u2 >= 0, u1 + u2 <= 1
     if name == "two_point_blowup":
         alpha, beta = params
         if not (0 <= alpha and 0 <= beta and alpha + beta <= 1):
             raise BadKahlerParams(f"(alpha, beta)=({alpha},{beta}) outside the cone")
-        facets = [
-            ((1, 0), 0),            # u1 >= 0
-            ((0, 1), 0),            # u2 >= 0
-            ((0, -1), -(1 - alpha)),  # u2 <= 1 - alpha
-            ((1, 1), beta),         # u1 + u2 >= beta
-            ((-1, -1), -1),         # u1 + u2 <= 1
-        ]
+        # u2 <= 1 - alpha and u1 + u2 >= beta
+        facets = [e1, e2, _cut(e1, e3, alpha), _cut(e1, e2, beta), e3]
         return MomentPolytope(2, facets, name="two_point_blowup", fano=True)
     if name == "k_point_blowup":
         alpha = params[0]
-        epsilons = params[1:]
-        beta = (1 - alpha) / 2
         if not alpha > Fraction(1, 3):
             raise BadKahlerParams("requires alpha > 1/3")
-        base = build_example("two_point_blowup", alpha, beta)
-        facets = [(f.v, f.lam) for f in base.facets]
-        # successive corner chops at the rightmost bottom vertex:
-        # each cut facet has the sum of the two active normals there.
-        va, la = (0, 1), Fraction(0)            # u2 >= 0
-        vb, lb = (-1, -1), Fraction(-1)         # u1 + u2 <= 1
-        for eps in epsilons:
+        facets = [(f.v, f.lam) for f in build_example(
+            "two_point_blowup", alpha, (1 - alpha) / 2).facets]
+        # successive cuts at the rightmost bottom vertex, between u2 >= 0
+        # and the last facet
+        for eps in params[1:]:
             if not 0 < eps:
                 raise BadKahlerParams("blow-up size must be positive")
-            vnew = tuple(a + b for a, b in zip(va, vb))
-            lnew = la + lb + eps
-            facets.append((vnew, lnew))
-            vb, lb = vnew, lnew
-        k = 2 + len(epsilons)
+            facets.append(_cut(e2, facets[-1], eps))
+        k = len(facets) - 3
         # one cut gives the hexagon fan of the Fano three-point blow-up;
         # a second leaves a (-2)-curve
         return MomentPolytope(2, facets, name=f"{k}_point_blowup",
                               fano=k <= 3)
     if name == "one_point_blowup_monotone":
-        facets = [
-            ((1, 0), 0),
-            ((0, 1), 0),
-            ((-1, -1), -1),
-            ((0, -1), Fraction(-2, 3)),
-        ]
+        facets = [e1, e2, e3, _cut(e1, e3, Fraction(1, 3))]
         return MomentPolytope(2, facets, name="one_point_blowup_monotone",
                               fano=True)
     raise BadKahlerParams(f"unknown example {name!r}")

@@ -217,16 +217,20 @@ def _entry_exp(entry: BulkEntry, trunc, inverse=False) -> NovikovSeries:
     return factor
 
 
-def leading_potential(P: MomentPolytope, u, mode=EXACT, trunc=INF,
-                      tol=DEFAULT_TOL) -> PotentialFunction:
-    """Lowest-order potential: one term ``T^{ell_i(u)} y^{v_i}`` per facet."""
+def _facet_terms(P: MomentPolytope, u, mode, trunc, tol):
+    """The facet terms ``(T^(ell_i(u)), v_i)``, in facet order."""
     u = [Fraction(x) for x in u]
     ell = P.ell_values(u)
     if any(v <= 0 for v in ell):
         raise NotInterior(f"{u} is not an interior point")
-    terms = [(NovikovSeries.monomial(1, e, mode=mode, trunc=trunc, tol=tol),
-              f.v) for e, f in zip(ell, P.facets)]
-    return PotentialFunction(P.n, terms)
+    return [(NovikovSeries.monomial(1, e, mode=mode, trunc=trunc, tol=tol),
+             f.v) for e, f in zip(ell, P.facets)]
+
+
+def leading_potential(P: MomentPolytope, u, mode=EXACT, trunc=INF,
+                      tol=DEFAULT_TOL) -> PotentialFunction:
+    """Lowest-order potential: one term ``T^{ell_i(u)} y^{v_i}`` per facet."""
+    return PotentialFunction(P.n, _facet_terms(P, u, mode, trunc, tol))
 
 
 def fano_bulk_potential(P: MomentPolytope, u, bulk: BulkDeformation,
@@ -247,17 +251,9 @@ def _fano_bulk_terms(P: MomentPolytope, u, bulk: BulkDeformation, trunc,
         raise OutOfScope(
             f"{P.name or 'polytope'} is not marked Fano; the closed product "
             "form does not apply — use with_gapped_tail instead")
-    u = [Fraction(x) for x in u]
-    ell = P.ell_values(u)
-    if any(v <= 0 for v in ell):
-        raise NotInterior(f"{u} is not an interior point")
-    terms, factors = [], []
-    for i, (e, f) in enumerate(zip(ell, P.facets)):
-        coeff = NovikovSeries.monomial(1, e, mode=bulk.mode, trunc=trunc,
-                                       tol=tol)
-        factors.append(bulk.exp_factor(i, trunc=trunc))
-        terms.append((coeff * factors[-1], f.v))
-    return terms, factors
+    terms = _facet_terms(P, u, bulk.mode, trunc, tol)
+    factors = [bulk.exp_factor(i, trunc=trunc) for i in range(P.m)]
+    return [(c * w, v) for (c, v), w in zip(terms, factors)], factors
 
 
 def with_gapped_tail(base: PotentialFunction, P: MomentPolytope, u,

@@ -72,8 +72,10 @@ class SolveResult:
 
 def _substitute(terms: dict, assignment: dict):
     """Fold assigned variables into the complex coefficients; keys keep
-    full length."""
+    full length.  A sum is dropped when cancellation leaves at most 1e-14
+    of the sum of the moduli of its parts, never for being small."""
     out: dict = {}
+    size: dict = {}
     for e, c in terms.items():
         value = c
         key = list(e)
@@ -83,7 +85,8 @@ def _substitute(terms: dict, assignment: dict):
                 key[j] = 0
         key = tuple(key)
         out[key] = out.get(key, 0) + value
-    return {e: c for e, c in out.items() if abs(c) > 1e-14}
+        size[key] = size.get(key, 0) + abs(value)
+    return {e: c for e, c in out.items() if abs(c) > 1e-14 * size[e]}
 
 
 def _term_size(terms: dict, point):
@@ -146,10 +149,12 @@ def _univariate_coeffs(terms: dict, j: int):
 
 
 def _root_key(point):
-    """Sort key of a point: each part of each coordinate rounded to 8
-    decimals, so that roundoff (between conjugates, say) cannot decide
-    the order."""
-    return tuple((round(z.real, 8), round(z.imag, 8)) for z in point)
+    """Sort key of a point: each coordinate rounded 8 decimals below its
+    leading digit, so that roundoff (between conjugates, say) cannot
+    decide the order at any scale."""
+    places = [8 - math.floor(math.log10(abs(z))) if z else 8 for z in point]
+    return tuple((round(z.real, d), round(z.imag, d))
+                 for z, d in zip(point, places))
 
 
 def _root_clusters(coeffs, tol=DEDUP_TOL):
@@ -157,15 +162,15 @@ def _root_clusters(coeffs, tol=DEDUP_TOL):
 
     ``coeffs`` runs from the leading coefficient down; ``np.roots`` strips
     leading zeros.  Real coefficients are kept real, so that conjugate
-    roots come out exactly paired.  Roots of modulus at most
-    ``ZERO_ROOT_TOL`` are dropped, and a root within ``tol`` of a cluster
-    joins it.  Returns (center, multiplicity) pairs in ``_root_key`` order.
+    roots come out exactly paired.  Only exact zero roots are dropped,
+    and ``r`` joins the cluster at ``c`` when ``|r - c| < tol * max(|r|,
+    |c|)``.  Returns (center, multiplicity) pairs in ``_root_key`` order.
     """
-    roots = [r for r in np.roots(coeffs) if abs(r) > ZERO_ROOT_TOL]
+    roots = [r for r in np.roots(coeffs) if r != 0]
     clusters = []
     for r in sorted(roots, key=lambda z: _root_key((z,))):
         for idx, (center, mult) in enumerate(clusters):
-            if abs(r - center) < tol:
+            if abs(r - center) < tol * max(abs(r), abs(center)):
                 clusters[idx] = ((center * mult + r) / (mult + 1), mult + 1)
                 break
         else:
@@ -302,8 +307,6 @@ def _resultant_roots(f: dict, g: dict, x: int, y: int):
     dfx, dfy = fm.shape[0] - 1, fm.shape[1] - 1
     dgx, dgy = gm.shape[0] - 1, gm.shape[1] - 1
     deg_bound = dfx * dgy + dgx * dfy
-    if deg_bound == 0:
-        return []
     # sample the resultant on a circle and interpolate the polynomial in x
     npts = deg_bound + 1
     xs = np.exp(2j * np.pi * np.arange(npts) / npts) * 1.17

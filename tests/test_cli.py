@@ -1,9 +1,12 @@
 """Command-line interface: subcommands, JSON reports, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from toricpot import (FLOAT, MomentPolytope, NovikovSeries,
+                      PotentialFunction, build_example)
 from toricpot.cli import main
 
 
@@ -41,6 +44,13 @@ class TestPolytopeCommand:
     def test_example_then_validate(self, twoblow_file, capsys):
         assert main(["polytope", "validate", twoblow_file]) == 0
         assert "valid" in capsys.readouterr().out
+
+    def test_example_without_out_prints_the_polytope(self, capsys):
+        assert main(["polytope", "example", "k_point_blowup",
+                     "--params", "2/5,1/50"]) == 0
+        want = build_example("k_point_blowup", Fraction(2, 5),
+                             Fraction(1, 50)).to_dict()
+        assert json.loads(capsys.readouterr().out) == want
 
     def test_validate_missing_file_exits_1(self, capsys):
         assert main(["polytope", "validate", "/no/such/file.json"]) == 1
@@ -184,6 +194,27 @@ class TestInputForms:
         assert outputs[0] == outputs[1]
         assert "1/100" in outputs[0]
 
+    def test_lift_bulk_records_feed_potential_bulk(self, twoblow_file,
+                                                   capsys):
+        # the weights that ``lift bulk --json`` prints, read back by
+        # ``potential --bulk``, make the lifted point critical mod T^2
+        fiber = ["--polytope", twoblow_file, "--u", "13/40,3/10"]
+        rc, out = run_json(capsys, ["lift", "bulk", *fiber,
+                                    "--solution", "1,-1", "--order", "2"])
+        assert rc == 0
+        lift = json.loads(out)
+        rc, out = run_json(capsys, ["potential", *fiber, "--mode", "float",
+                                    "--trunc", "2",
+                                    "--bulk", json.dumps(lift["bulk"])])
+        assert rc == 0
+        F = PotentialFunction(2, [
+            (NovikovSeries.from_records(t["coefficient"], mode=FLOAT,
+                                        trunc=Fraction(t["trunc"])),
+             t["exponents"]) for t in json.loads(out)["terms"]])
+        y = [NovikovSeries.const(complex(*c), mode=FLOAT) for c in lift["y"]]
+        _, valuation = F.gradient_residual(y)
+        assert valuation >= 2
+
     def test_example_polytope_spec(self, capsys):
         rc, out = run_json(capsys, ["solve", "--polytope", "example:cpn:2",
                                     "--u", "1/3,1/3", "--require-certified"])
@@ -210,6 +241,22 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["repro", "not-a-scenario"])
         assert err.value.code == 1
+
+    def test_uncertified_solve_exits_2(self, tmp_path, capsys):
+        # CP^3 with its origin vertex cut off, u1 + u2 + u3 >= 1/2: at
+        # (1/4, 1/4, 1/4) the system goes to stage (c), which certifies
+        # nothing
+        cp3 = build_example("cpn", 3)
+        cut = MomentPolytope(3, [(f.v, f.lam) for f in cp3.facets]
+                             + [((1, 1, 1), Fraction(1, 2))])
+        path = tmp_path / "cut_cp3.json"
+        path.write_text(json.dumps(cut.to_dict()))
+        argv = ["solve", "--polytope", str(path), "--u", "1/4,1/4,1/4"]
+        rc, out = run_json(capsys, argv)
+        doc = json.loads(out)
+        assert (rc, doc["path"], doc["certified"]) == (0, "c", False)
+        assert len(doc["solutions"]) == 6
+        assert main(argv + ["--require-certified"]) == 2
 
     def test_non_positive_generator_exits_1(self, twoblow_file, capsys):
         assert main(["lift", "bulk", "--polytope", twoblow_file,

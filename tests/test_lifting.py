@@ -253,7 +253,7 @@ class TestCaseAnalysis:
             val = s.d_bar ** 2 * (s.d_bar + w) + 2
             assert abs(val) < 1e-8
 
-    @pytest.mark.parametrize("w", [1, 2, Fraction(1, 2)])
+    @pytest.mark.parametrize("w", [1, 2, Fraction(1, 2), 10 ** 19])
     def test_case_one_roots_in_solver_order(self, w):
         # for w > 0 the roots of d^2 = -2/w are conjugate imaginaries whose
         # real parts are roundoff; the order must not rest on their signs
@@ -267,6 +267,26 @@ class TestCaseAnalysis:
                                         [(1, 1)])
         want = [s.values[(1, 1)] for s in result.solutions]
         assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_tiny_weight_keeps_its_case_three_root(self):
+        # case 3 solves d + w = 0; at w = 1e-10 its root is d = -1e-10
+        reports = case_analysis_two_point(Fraction(2, 5), 1e-10,
+                                          Fraction(1, 100))
+        r3, = [r for r in reports if r.case == 3]
+        s, = r3.solutions
+        assert abs(s.d_bar + 1e-10) < 1e-22
+
+    def test_huge_weight_keeps_its_case_one_roots(self):
+        # case 1 solves d^2 + 2/w = 0; at w = 1e19 its roots are
+        # d = +-i sqrt(2e-19), about +-4.47e-10 i
+        reports = case_analysis_two_point(Fraction(2, 5), 1e19,
+                                          Fraction(1, 100))
+        r1, = [r for r in reports if r.case == 1]
+        assert [s.multiplicity for s in r1.solutions] == [1, 1]
+        root = math.sqrt(2e-19)
+        got = sorted((s.d_bar for s in r1.solutions), key=lambda z: z.imag)
+        for d, want in zip(got, (-1j * root, 1j * root)):
+            assert abs(d - want) < 1e-6 * root
 
 
 class TestSolutionToTorus:

@@ -93,6 +93,28 @@ class TestGeometry:
         assert ells[3] == Fraction(13, 40)          # u1+u2 >= 3/10
         assert ells[4] == Fraction(3, 8)            # u1+u2 <= 1
 
+    @pytest.mark.parametrize("n, facets, failure", [
+        # a square pyramid: four facets meet at its apex
+        (3, [((0, 0, 1), 0), ((1, 0, -1), 0), ((0, 1, -1), 0),
+             ((-1, 0, -1), -1), ((0, -1, -1), -1)],
+         "vertex (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)) is not "
+         "simple: 4 active facets"),
+        # a triangle whose normals (1, 0), (-1, -2) span an index-2 lattice
+        (2, [((1, 0), 0), ((0, 1), 0), ((-1, -2), -1)],
+         "vertex (Fraction(0, 1), Fraction(1, 2)) not unimodular: |det| = 2"),
+        # the unit square and u1 <= 2, which touches it nowhere
+        (2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1),
+             ((-1, 0), -2)],
+         "facet 4 ((-1, 0), -2) is redundant"),
+        # a segment in Q^2: 0 <= u1 <= 1 and u2 = 0
+        (2, [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), 0)],
+         "no interior point: polytope is lower dimensional"),
+    ], ids=["non-simple", "non-unimodular", "redundant", "no-interior"])
+    def test_validation_failure_messages(self, n, facets, failure):
+        report = MomentPolytope(n, facets).validate()
+        assert not report.valid
+        assert failure in report.failures
+
     def test_validation_flags_empty_polytope(self):
         P = MomentPolytope(1, [((1,), Fraction(1)), ((-1,), Fraction(0))])
         assert not P.validate().valid
@@ -113,6 +135,20 @@ class TestGeometry:
         report = P.validate()
         assert not report.valid
         assert report.failures[0].startswith("unbounded: recession direction")
+
+    @pytest.mark.parametrize("n, facets, ray", [
+        # a strip in Q^2 and a slab in Q^3, each between u1 = 0 and u1 = 1;
+        # in the slab no two normals have a kernel line
+        (2, [((1, 0), 0), ((-1, 0), -1)], (0, 1)),
+        (3, [((1, 0, 0), 0), ((-1, 0, 0), -1)], (0, 0, 1)),
+    ])
+    def test_rank_deficient_normals_give_a_kernel_ray(self, n, facets, ray):
+        P = MomentPolytope(n, [(v, Fraction(lam)) for v, lam in facets])
+        assert P._recession_ray() == ray
+        assert all(sum(a * b for a, b in zip(f.v, ray)) == 0
+                   for f in P.facets)
+        assert P.validate().failures == [
+            "unbounded: facet normals do not span the space"]
 
     def test_bounded_polytope_has_no_recession_ray(self):
         assert build_example("cpn", 3)._recession_ray() is None

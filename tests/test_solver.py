@@ -415,3 +415,37 @@ class TestSortKey:
             [{(2,): 1, (1,): -1, (0,): 1}], [(1, 1)])
         imag = [s.values[(1, 1)].imag for s in result.solutions]
         assert len(imag) == 2 and imag[0] < 0 < imag[1]
+
+
+class TestScaleFreeRoots:
+    """Root cutoffs scale with the roots: a tiny root is a root."""
+
+    @pytest.mark.parametrize("equation, root", [
+        ({(1,): 1, (0,): -1e-12}, 1e-12),
+        ({(1,): 1e12, (0,): -1}, 1e-12),
+        ({(1,): 1, (0,): -1e-15}, 1e-15),
+        ({(1,): 1, (0,): -1e-20}, 1e-20),
+    ])
+    def test_tiny_root_is_found(self, equation, root):
+        result = solver.solve_equations([equation], ["x"])
+        assert result.certified and result.path == "a"
+        solution, = result.solutions
+        assert solution.multiplicity == 1
+        assert abs(solution.values["x"] - root) < 1e-12 * root
+
+    def test_cancelled_coefficient_is_no_root(self):
+        # y (y + 1000 (x^3 - 2)) = 0 with x^3 = 2 forces y = 0: once a cube
+        # root of 2 is substituted, the y^1 coefficient is roundoff
+        result = solver.solve_equations(
+            [{(3, 0): 1, (0, 0): -2},
+             {(0, 2): 1, (3, 1): 1000, (0, 1): -2000}], ["x", "y"])
+        assert result.certified and result.solutions == []
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+    def test_clusters_scale_with_the_roots(self, scale):
+        # (x - s)^2 (x + s): one double root and one simple root at any s
+        clusters = solver._root_clusters([1, -scale, -scale ** 2, scale ** 3])
+        mults = sorted(m for _, m in clusters)
+        assert mults == [1, 2]
+        for center, m in clusters:
+            assert abs(center - (scale if m == 2 else -scale)) < 1e-6 * scale

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import OutOfScope
-from .leading import (_assemble_system, _level_structure, flag_basis,
+from .leading import (_assemble_system, _check_coefficients,
+                      _first_coloop_level, _level_structure, flag_basis,
                       level_partition, level_structure)
 from .lifting import _lift_bulk
 from .novikov import INF, as_exponent
@@ -72,22 +73,37 @@ def classify_fiber(P: MomentPolytope, u, coefficients=None,
     lifted to divisor weights certifying criticality to that order.
     Otherwise the largest solvable level prefix ``l0`` is located and
     the first obstructed level's order becomes the threshold bound.
+    A zero coefficient, or a key that names no facet, raises
+    ``ValueError``.
     """
+    _check_coefficients(P, coefficients)
     u = tuple(Fraction(x) for x in u)
     return _classify(P, u, level_structure(P, u), coefficients, lift_order,
                      tol)
 
 
 def _classify(P, u, ls, coefficients, lift_order, tol) -> FiberReport:
-    """``classify_fiber`` on the level structure ``ls`` of ``u``."""
-    fb = flag_basis(ls)
+    """``classify_fiber`` on the level structure ``ls`` of ``u``.
+
+    A coloop at a level ``l* <= K`` (``_first_coloop_level``) proves every
+    prefix system through ``l*`` empty: none of them is solved, and the
+    flag basis is built only if a lower prefix is.
+    """
     bound = 2 ** P.n
+    empty_from = _first_coloop_level(ls)
     if ls.K is None:
         report = FiberReport(u, NO_FULL_FLAG, intersection_bound=bound)
-        _fill_partial(report, ls, fb, len(ls.levels), coefficients, tol)
+        _fill_partial(report, ls, None, empty_from or len(ls.levels),
+                      coefficients, tol)
         report.status = NO_FULL_FLAG
         return report
+    if empty_from is not None:
+        report = FiberReport(u, NO_SOLUTION_FOUND, certified=True,
+                             intersection_bound=bound)
+        _fill_partial(report, ls, None, empty_from, coefficients, tol)
+        return report
 
+    fb = flag_basis(ls)
     result = solve(_assemble_system(ls, fb, coefficients=coefficients),
                    tol=tol)
     if result.solutions:
@@ -118,10 +134,14 @@ def _classify(P, u, ls, coefficients, lift_order, tol) -> FiberReport:
 
 
 def _fill_partial(report: FiberReport, ls, fb, top_level, coefficients, tol):
-    """Largest solvable prefix of levels and the resulting threshold."""
+    """Largest solvable prefix of levels below ``top_level`` and the
+    resulting threshold; the flag basis ``fb`` is built if it is None and
+    a prefix is solved."""
     l0 = 0
     witnesses = []
     for l in range(top_level - 1, 0, -1):
+        if fb is None:
+            fb = flag_basis(ls)
         partial = solve(_assemble_system(ls, fb, l, coefficients), tol=tol)
         if partial.solutions:
             l0 = l
@@ -149,13 +169,18 @@ def scan(P: MomentPolytope, step, row: Optional[dict] = None,
     ordered level partition of the facets (``level_partition``), where K
     is the first level whose normals span Q^n.  So there is one
     classification per K-prefix: later fibers with the same prefix copy
-    its report and take their own threshold S_{l0+1}(u), l0 < K.
+    its report and take their own threshold S_{l0+1}(u), l0 < K.  A
+    K-prefix with a coloop at some level (a facet whose deletion drops
+    the rank of the normals up to that level) is proven empty before any
+    flag basis is built; only the levels below it go to the solver.
+    Coefficients are checked once, as in ``classify_fiber``.
 
     The grid is walked in ints: with ``D`` the lcm of the denominators of
     the step, the pinned values and the offsets lambda_i, the interior
     test, the partition and each classified level structure read the
     ints ``ell_i(u) * D``.  An unbounded polytope raises ``OutOfScope``.
     """
+    _check_coefficients(P, coefficients)
     step = as_exponent(step)
     if step is INF or step <= 0:
         raise ValueError("grid step must be positive and finite")

@@ -76,6 +76,43 @@ def _level_structure(P: MomentPolytope, u, ell, parts, D=1) -> LevelStructure:
     return LevelStructure(P, u, levels, d, K)
 
 
+def _first_coloop_level(ls: LevelStructure) -> Optional[int]:
+    """First level ``l <= K`` (any level when K is None) holding a
+    coloop: a facet whose deletion drops the rank of the normals of
+    levels ``1..l``, which is ``d(1)+...+d(l)``.
+
+    With ``z_i = c_i y^{v_i}``, the level-``l`` equations read
+    ``M_l z = 0`` for the level-``l`` flag components ``M_l`` of that
+    level's normals; a coloop column forces ``z_i = 0``.  So with every
+    coefficient nonzero no prefix system through that level has a
+    solution.  ``None`` when no level has a coloop.
+    """
+    below = []
+    for l, lev in enumerate(ls.levels[:ls.K], start=1):
+        normals = [v for _, v in lev.members]
+        if ls.d[l - 1] == len(normals):  # independent columns, one or more
+            return l
+        if ls.d[l - 1] > 0:
+            rank = sum(ls.d[:l])
+            for k in range(len(normals)):
+                if lattice.rank(below + normals[:k] + normals[k + 1:]) < rank:
+                    return l
+        below += normals
+    return None
+
+
+def _check_coefficients(P: MomentPolytope, coefficients) -> None:
+    """Raise ``ValueError`` unless every key of ``coefficients`` names a
+    facet of ``P`` and every value is nonzero."""
+    for i, c in (coefficients or {}).items():
+        if i not in range(len(P.facets)):
+            raise ValueError(f"coefficient key {i!r} names no facet "
+                             f"(facets are 0..{len(P.facets) - 1})")
+        if c == 0:
+            raise ValueError(f"coefficient of facet {i} is zero; the "
+                             "unit part of a divisor weight is nonzero")
+
+
 @dataclass
 class FlagBasis:
     structure: LevelStructure
@@ -152,8 +189,10 @@ def leading_equations(P: MomentPolytope, u, cutoff: Optional[int] = None,
     ``coefficients`` maps facet indices to nonzero scalars (unit parts of
     divisor weights); omitted facets contribute coefficient 1.  The
     equation of variable (l, s) is the plain partial derivative of the
-    level-``l`` sum in that variable.
+    level-``l`` sum in that variable.  A zero coefficient, or a key that
+    names no facet, raises ``ValueError``.
     """
+    _check_coefficients(P, coefficients)
     ls = level_structure(P, u)
     return _assemble_system(ls, flag_basis(ls), cutoff, coefficients)
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from toricpot import (INF, MomentPolytope, OutOfScope, balanced_locus,
                       build_example, classify, classify_fiber, lattice,
-                      leading, lifting, report_bounds, scan)
+                      leading, lifting, report_bounds, scan, solve,
+                      solve_partial)
 
 # an unbounded quadrant, an unbounded strip whose normals span one line,
 # and a slab in Q^3 whose normals span one line, so that no pair of them
@@ -18,6 +19,9 @@ from toricpot import (INF, MomentPolytope, OutOfScope, balanced_locus,
 QUADRANT = MomentPolytope(2, [((1, 0), 0), ((0, 1), 0)])
 STRIP = MomentPolytope(2, [((1, 0), 0), ((-1, 0), -1)])
 SLAB = MomentPolytope(3, [((1, 0, 0), 0), ((-1, 0, 0), -1)])
+# the rectangle [0, 2] x [0, 3]; facet 2 is u2 >= 0
+RECTANGLE = MomentPolytope(2, [((1, 0), 0), ((-1, 0), -2), ((0, 1), 0),
+                               ((0, -1), -3)])
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +89,22 @@ class TestClassifyFiber:
         a = classify_fiber(twoblow, u).to_dict()
         b = classify_fiber(twoblow, u).to_dict()
         assert a == b
+
+    @pytest.mark.parametrize("coefficients", [{2: 0}, {99: 2}],
+                             ids=["zero", "no-such-facet"])
+    def test_bad_coefficients_rejected(self, coefficients):
+        # with c_2 = 0 the y2-equation at (1, 1) would read 0 = 0, and the
+        # fiber would pass as balanced with a line of "isolated" witnesses
+        u = (Fraction(1), Fraction(1))
+        for call in (
+                lambda: classify_fiber(RECTANGLE, u, coefficients=coefficients),
+                lambda: scan(RECTANGLE, 1, coefficients=coefficients),
+                lambda: leading.leading_equations(RECTANGLE, u,
+                                                  coefficients=coefficients),
+                lambda: solve_partial(RECTANGLE, u, None,
+                                      coefficients=coefficients)):
+            with pytest.raises(ValueError, match="coefficient"):
+                call()
 
     def test_no_full_flag(self):
         # levels {u1 = 1/3} and {1 - u1 = 2/3} both span only the u1 axis
@@ -256,8 +276,10 @@ class TestScanByPartition:
         reports = scan(twoblow, Fraction(1, 20))
         partitions = {_partition(twoblow, r.u) for r in reports}
         prefixes = {_k_prefix(twoblow, p) for p in partitions}
-        assert len(reports) > len(partitions) > len(prefixes)
-        assert len(calls) == len(prefixes)
+        # a coloop at level 1 proves a K-prefix empty with nothing solved
+        solved = {p for p in prefixes if _coloop_level(twoblow, p) != 1}
+        assert len(reports) > len(partitions) > len(prefixes) > len(solved)
+        assert len(calls) == len(solved)
 
 
 def _partition(P, u):
@@ -275,6 +297,19 @@ def _k_prefix(P, partition):
         if lattice.rank(normals) == P.n:
             return partition[:K]
     return partition
+
+
+def _coloop_level(P, prefix):
+    """First level of ``prefix`` holding a facet whose deletion drops the
+    rank of the normals of that level and the levels below it; None when
+    there is none."""
+    for l in range(1, len(prefix) + 1):
+        facets = [i for part in prefix[:l] for i in part]
+        rank = lattice.rank([P.facets[i].v for i in facets])
+        for i in prefix[l - 1]:
+            if lattice.rank([P.facets[j].v for j in facets if j != i]) < rank:
+                return l
+    return None
 
 
 _EXAMPLES = [("cpn", 2), ("cpn", 3), ("one_point_blowup_monotone",),
@@ -323,6 +358,81 @@ class TestClassificationByKPrefix:
             del report["u"], report["threshold_bound"]
             prefix = leading.level_structure(P, u).k_prefix
             assert first.setdefault(prefix, report) == report
+
+
+@st.composite
+def _coefficient_cases(draw):
+    """(example, points, coefficients): ``_interior_points`` with random
+    nonzero rational coefficients on some of the facets."""
+    example, points = draw(_interior_points())
+    facets = len(build_example(*example).facets)
+    nonzero = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                        st.integers(1, 4))
+    coefficients = draw(st.dictionaries(st.integers(0, facets - 1), nonzero,
+                                        max_size=facets))
+    return example, points, coefficients or None
+
+
+def _solver_only_report(P, u, coefficients, tol=1e-9):
+    """``classify_fiber`` without lifting: the prefix systems solved from
+    the top down, with no rank test."""
+    ls = leading.level_structure(P, u)
+    fb = leading.flag_basis(ls)
+    report = classify.FiberReport(u, "NoFullFlag", intersection_bound=2 ** P.n)
+    if ls.K is not None:
+        full = solve(leading._assemble_system(ls, fb, None, coefficients),
+                     tol=tol)
+        report.certified = full.certified
+        if full.solutions:
+            report.status = "BulkBalanced"
+            report.witnesses = full.solutions
+            return report
+        report.status = "NoSolutionFound"
+    report.partial_level = 0
+    for l in range(len(ls.levels[:ls.K]) - 1, 0, -1):
+        partial = solve(leading._assemble_system(ls, fb, l, coefficients),
+                        tol=tol)
+        if partial.solutions:
+            report.partial_level = l
+            if ls.K is not None:
+                report.status = "PartialUpTo"
+            report.witnesses = partial.solutions
+            break
+    report.threshold_bound = ls.level(report.partial_level + 1).S
+    return report
+
+
+class TestColoopEmptiness:
+    """A facet whose deletion drops the rank of the normals up to its
+    level forces its term to vanish, so no prefix system through that
+    level has a solution with nonzero coefficients."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_coefficient_cases())
+    # on the two-point blow-up's row u2 = beta, level 1 is the pair of
+    # facets u2 >= 0, u2 <= 1 - alpha, and level 2's two facets hold no
+    # coloop only when counted with level 1's normals.  At (beta, beta)
+    # level 1 holds four facets and no coloop, and c = 1 is empty by the
+    # solver alone
+    @example((("two_point_blowup", Fraction(2, 5), Fraction(3, 10)),
+              [(Fraction(13, 40), Fraction(3, 10)),
+               (Fraction(3, 8), Fraction(3, 10)),
+               (Fraction(3, 10), Fraction(3, 10))], None))
+    def test_coloop_level_empty_and_reports_unchanged(self, case):
+        example, points, coefficients = case
+        P = build_example(*example)
+        for u in points:
+            ls = leading.level_structure(P, u)
+            first = _coloop_level(P, ls.k_prefix)
+            assert leading._first_coloop_level(ls) == first
+            if first is not None:
+                fb = leading.flag_basis(ls)
+                for l in range(first, len(ls.levels[:ls.K]) + 1):
+                    system = leading._assemble_system(ls, fb, l, coefficients)
+                    assert not solve(system, tol=1e-9).solutions
+            got = classify_fiber(P, u, coefficients=coefficients)
+            want = _solver_only_report(P, u, coefficients)
+            assert got.to_dict() == want.to_dict()
 
 
 @st.composite

@@ -264,6 +264,13 @@ class TestExitCodes:
                      "--order", "2", "--generators", "0,-1/2"]) == 1
         assert "not positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coeffs", ['{"1": 0}', '{"99": 2}'],
+                             ids=["zero", "no-such-facet"])
+    def test_bad_coefficients_exit_1(self, twoblow_file, coeffs, capsys):
+        assert main(["classify", "--polytope", twoblow_file,
+                     "--u", "13/40,3/10", "--coeffs", coeffs]) == 1
+        assert "coefficient" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [["--mode", "float"], ["--trunc", "7"]])
     def test_series_flags_belong_to_potential(self, twoblow_file, flag):
         with pytest.raises(SystemExit) as err:

@@ -323,3 +323,11 @@ class TestAgainstReferenceElimination:
     def test_saturation_basis_has_rank_rows(self, a):
         # saturation_basis reads the rank off the Smith diagonal
         assert len(lattice.saturation_basis(a)) == _ref_rank(a)
+
+
+def test_reduce_against_shortens_by_its_reducers():
+    # (3, 1) - 3 (1, 0) = (0, 1); (-2, -5) + 5 (0, 1) = (-2, 0) takes two
+    # passes of at most 3 multiples and is then sign-normalized
+    assert lattice.reduce_against([3, 1], [[1, 0]]) == [0, 1]
+    assert lattice.reduce_against([-2, -5], [[0, 1]]) == [2, 0]
+    assert lattice.reduce_against([1, 1], [[0, 2]]) == [1, 1]

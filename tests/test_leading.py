@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from toricpot import (build_example, flag_basis, leading_equations,
-                      level_structure)
+from toricpot import (MomentPolytope, build_example, flag_basis,
+                      leading_equations, level_structure)
 from toricpot import lattice
 
 
@@ -66,6 +66,16 @@ class TestFlagBasis:
                        for _, f in ls.level(j + 1).members]
             assert lattice.rank(prefix) == count
             assert lattice.rank(normals) == count
+
+    def test_level_without_new_rank_adds_no_row(self):
+        # [0, 1] x [0, 3] at (2/5, 3/2): levels {e1}, {-e1} and {e2, -e2}
+        P = MomentPolytope(2, [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0),
+                               ((0, -1), -3)])
+        ls = level_structure(P, (Fraction(2, 5), Fraction(3, 2)))
+        assert (ls.d, ls.K) == ([1, 0, 1], 3)
+        fb = flag_basis(ls)
+        assert fb.labels == [(1, 1), (3, 1)]
+        assert fb.rows == [[1, 0], [0, 1]]
 
     def test_labels_levels(self, twoblow):
         ls = level_structure(twoblow, (Fraction(13, 40), Fraction(3, 10)))

@@ -6,8 +6,10 @@ Runs the Tier-1 suite under ``tests`` with pytest in this process,
 under a ``sys.settrace`` line tracer that traces only frames whose code
 lies in ``src/toricpot``, then prints each module's statements that
 never ran, one ``module.py:line: source`` line each.
-Docstrings are not counted as statements.  A compound statement counts
-as run when any line of its header ran, or any statement inside it.
+Docstrings are not counted as statements, nor is a module-level
+``if __name__ == "__main__":`` block, which only a script run reaches.
+A compound statement counts as run when any line of its header ran, or
+any statement inside it.
 pytest's own output goes to stderr and the report to stdout, so
 
     python3 tools/reach.py > reach.txt
@@ -66,6 +68,12 @@ def _is_docstring(node):
             and isinstance(node.value.value, str))
 
 
+def _is_main_guard(node):
+    """Whether ``node`` is ``if __name__ == "__main__":``."""
+    return (isinstance(node, ast.If)
+            and ast.unparse(node.test) == "__name__ == '__main__'")
+
+
 def _header(node):
     """First and last line of a statement's own code: its decorators and
     header for a compound statement, all of it for a simple one."""
@@ -108,6 +116,7 @@ def unreached(path, ran):
         return False
 
     tree = ast.parse(source, path)
+    tree.body = [n for n in tree.body if not _is_main_guard(n)]
     visit(tree)
     total = sum(1 for n in ast.walk(tree) if counted(n))
     return total, sorted(missed)
